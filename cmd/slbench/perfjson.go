@@ -188,9 +188,16 @@ func emitJSONSummary(w io.Writer, probeTime time.Duration) error {
 	// BatchExecute amortizing the lease over batchProbeSize ops.
 	{
 		reg := registry.New(registry.Options{Procs: n})
-		reg.Counter("bench")
+		counter := func() *slmem.PooledCounter {
+			inst, _, err := reg.Get(registry.KindCounter, "bench", kind.Request{})
+			if err != nil {
+				panic(err)
+			}
+			return inst.(kind.Unwrapper).Unwrap().(*slmem.PooledCounter)
+		}
+		counter()
 		add("registry/counter-inc-perop", "steady", 0, func() {
-			if err := reg.Counter("bench").Inc(ctx); err != nil {
+			if err := counter().Inc(ctx); err != nil {
 				panic(err)
 			}
 		})
@@ -253,8 +260,8 @@ func emitJSONSummary(w io.Writer, probeTime time.Duration) error {
 	// is marked mode:"growth" by construction: bag-insert with no removes
 	// accretes live cells — compare growth probes only across equal
 	// -probetime runs. (object-execute used to be the other growth probe;
-	// with history truncation on by default its node count is bounded, so
-	// it is steady now.) Their steady-state counterparts follow:
+	// every universal object truncates its history, so its node count is
+	// bounded and it is steady now.) Their steady-state counterparts follow:
 	// object-execute-warm measures the replay-cached path at a fixed
 	// pre-grown history depth, bag-churn pairs every insert with a remove
 	// so chunk recycling holds live space constant (recorded in

@@ -86,9 +86,10 @@ func main() {
 	fmt.Printf("counter via the construction: %s increments (expected 30)\n", count)
 
 	// The flip side (paper Section 5.3): the shared precedence graph keeps
-	// every operation, so per-operation cost grows with history. The library
-	// types (slmem.NewCounter etc.) avoid this; use the construction for
-	// types without a direct implementation.
-	fmt.Println("\nnote: the construction stores its whole history — operations slow down over time;")
+	// every operation. slmem.Object truncates it, but only while every pid
+	// keeps executing, and a pid's first operation replays the whole live
+	// history. The library types (slmem.NewCounter etc.) avoid this; use the
+	// construction for types without a direct implementation.
+	fmt.Println("\nnote: the construction's history is truncated only while every pid keeps executing;")
 	fmt.Println("prefer the direct snapshot-derived types where they exist")
 }

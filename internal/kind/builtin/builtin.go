@@ -41,12 +41,6 @@ func ObjectType(typeName string) (slmem.SimpleType, error) {
 	}
 }
 
-// ObjectTypeNames lists the type names accepted by the universal-object
-// kind, sorted.
-func ObjectTypeNames() []string {
-	return []string{"accumulator", "counter", "maxreg", "register", "set"}
-}
-
 // ValidateInvocation checks that invocation is well-formed for the named
 // object type by dry-running it against the type's sequential specification
 // from its initial state, without creating or touching any object. The
@@ -340,12 +334,8 @@ func (objectDriver) Ops() []kind.OpInfo {
 	}
 }
 
-// Options implements kind.Driver: universal objects truncate their history
-// with the default collection window, so a long-lived instance's memory is
-// bounded by its process count and window rather than its operation count.
-func (objectDriver) Options() kind.Options {
-	return kind.Options{GCWindow: slmem.DefaultObjectGCWindow}
-}
+// Options implements kind.Driver.
+func (objectDriver) Options() kind.Options { return kind.Options{} }
 
 // Validate implements kind.Driver: reject unknown ops, unknown types, and
 // malformed invocations before any object exists.
@@ -361,28 +351,18 @@ func (objectDriver) Probe() kind.Request {
 	return kind.Request{Op: "execute", Type: "accumulator", Invocation: "addTo(1)"}
 }
 
-// ProbeGrowth implements kind.GrowthProber: the universal construction's
-// precedence graph used to keep every executed operation, making this the
-// canonical growth probe; with history truncation enabled by default
-// (Options.GCWindow) the live node count is bounded, so the probe measures
-// a steady per-op cost. The method stays so the flag's reasoning is
-// recorded next to the driver.
-func (objectDriver) ProbeGrowth() bool { return false }
-
 // New implements kind.Driver: the creating request's Type parameterizes the
-// instance, and history truncation is enabled with the driver's GCWindow.
-func (d objectDriver) New(env kind.Env) (kind.Instance, error) {
+// instance. Like every slmem.Object it truncates its history, so a
+// long-lived instance's memory is bounded by its process count and the
+// collection window rather than its operation count.
+func (objectDriver) New(env kind.Env) (kind.Instance, error) {
 	t, err := ObjectType(env.Req.Type)
 	if err != nil {
 		return nil, err
 	}
-	obj := slmem.NewObject(t, env.Procs)
-	if w := d.Options().GCWindow; w > 0 {
-		obj.SetGC(slmem.ObjectGCOptions{Window: w})
-	}
 	return &objectInstance{
 		typeName: env.Req.Type,
-		pooled:   obj.Pooled(env.Pool),
+		pooled:   slmem.NewObject(t, env.Procs).Pooled(env.Pool),
 	}, nil
 }
 

@@ -113,12 +113,6 @@ type Options struct {
 	// shared pool, so a hot kind cannot starve the rest of the service (and
 	// vice versa). Batches mixing kinds acquire one lease per pool.
 	DedicatedPool bool
-	// GCWindow, when positive, asks instances of this kind to bound their
-	// memory by history truncation with the given per-process collection
-	// window (operations between truncation attempts). Zero leaves memory
-	// management to the instance's default; only kinds with unbounded
-	// per-operation history (the universal object) honor it.
-	GCWindow int
 }
 
 // Env is what the registry hands a driver when creating an instance.
@@ -361,9 +355,6 @@ type Info struct {
 	Ops []OpInfo `json:"ops"`
 	// DedicatedPool reports whether instances lease from a per-kind pool.
 	DedicatedPool bool `json:"dedicated_pool,omitempty"`
-	// GCWindow is the kind's history-truncation window, 0 when the kind
-	// does not truncate.
-	GCWindow int `json:"gc_window,omitempty"`
 }
 
 // Describe returns introspection records for every registered driver,
@@ -377,7 +368,6 @@ func Describe() []Info {
 			Doc:           d.Doc(),
 			Ops:           d.Ops(),
 			DedicatedPool: d.Options().DedicatedPool,
-			GCWindow:      d.Options().GCWindow,
 		})
 	}
 	return infos

@@ -8,6 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"slmem"
+	"slmem/internal/kind"
 )
 
 func TestBatchExecuteMixedKinds(t *testing.T) {
@@ -191,7 +194,7 @@ func TestBatchExecuteCancelledBeforeLease(t *testing.T) {
 	r.Pool().Release(pid)
 
 	// The counter must not have been incremented.
-	v, err := r.Counter("c").Read(ctx)
+	v, err := counterOf(r, "c").Read(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestBatchExecuteCancelledMidBatch(t *testing.T) {
 	}
 
 	// Earlier results stand; later ops never ran.
-	v, err := r.Counter("c").Read(context.Background())
+	v, err := counterOf(r, "c").Read(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +296,7 @@ func TestBatchExecuteConcurrentBatches(t *testing.T) {
 	}
 	wg.Wait()
 
-	v, err := r.Counter("shared").Read(ctx)
+	v, err := counterOf(r, "shared").Read(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +324,10 @@ func BenchmarkRegistryPerOp(b *testing.B) {
 	// must pay it too.
 	r := New(Options{Procs: 8})
 	ctx := context.Background()
-	r.Counter("bench")
+	counterOf(r, "bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.Counter("bench").Inc(ctx); err != nil {
+		if err := counterOf(r, "bench").Inc(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,14 +384,7 @@ func TestBatchExecuteAnchorsOncePerPid(t *testing.T) {
 	if _, err := r.BatchExecute(ctx, warm); err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := r.Object("acc", "accumulator")
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := pooled.Unpooled()
-	if !obj.GCEnabled() {
-		t.Fatal("registry-created universal object should have GC enabled by its driver options")
-	}
+	obj := unwrapped[*slmem.PooledObject](r, KindObject, "acc", kind.Request{Op: "execute", Type: "accumulator"}).Unpooled()
 	before := obj.CacheStats().Anchors
 
 	// One batch of 64 executes runs as one leased pid; the Batcher bracket

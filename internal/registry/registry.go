@@ -12,7 +12,6 @@
 package registry
 
 import (
-	"fmt"
 	"hash/maphash"
 	"sort"
 	"sync"
@@ -20,7 +19,7 @@ import (
 
 	"slmem"
 	"slmem/internal/kind"
-	"slmem/internal/kind/builtin"
+	_ "slmem/internal/kind/builtin" // registers the paper kinds
 )
 
 // Kind names an object kind. The set of valid kinds is open — any name
@@ -28,7 +27,7 @@ import (
 type Kind string
 
 // Kind names of the built-in drivers (internal/kind/builtin), kept as
-// constants for compile-time checked callers; Kinds() reports the full
+// constants for compile-time checked callers; kind.Names reports the full
 // registered set.
 const (
 	KindCounter     Kind = "counter"
@@ -36,28 +35,6 @@ const (
 	KindSnapshot    Kind = "snapshot"
 	KindObject      Kind = "object"
 )
-
-// Kinds lists the registered kinds, sorted.
-func Kinds() []Kind {
-	names := kind.Names()
-	kinds := make([]Kind, len(names))
-	for i, n := range names {
-		kinds[i] = Kind(n)
-	}
-	return kinds
-}
-
-// ObjectTypeNames lists the type names accepted by the universal-object
-// kind.
-func ObjectTypeNames() []string { return builtin.ObjectTypeNames() }
-
-// ValidateInvocation checks that invocation is well-formed for the named
-// universal-object type, without creating or touching any object. It lets
-// callers reject doomed requests before lazily registering an object for
-// them.
-func ValidateInvocation(typeName, invocation string) error {
-	return builtin.ValidateInvocation(typeName, invocation)
-}
 
 // Options configure a Registry.
 type Options struct {
@@ -186,51 +163,6 @@ func (r *Registry) countCreated(kindName string) {
 		c, _ = r.created.LoadOrStore(kindName, new(atomic.Int64))
 	}
 	c.(*atomic.Int64).Add(1)
-}
-
-// mustGet is Get for built-in kinds whose creation cannot fail; it backs
-// the typed accessors.
-func (r *Registry) mustGet(k Kind, name string, req kind.Request) kind.Instance {
-	inst, _, err := r.Get(k, name, req)
-	if err != nil {
-		panic(fmt.Sprintf("registry: builtin kind %q: %v", k, err))
-	}
-	return inst
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *slmem.PooledCounter {
-	return r.mustGet(KindCounter, name, kind.Request{}).(kind.Unwrapper).Unwrap().(*slmem.PooledCounter)
-}
-
-// MaxRegister returns the named max-register, creating it on first use.
-func (r *Registry) MaxRegister(name string) *slmem.PooledMaxRegister {
-	return r.mustGet(KindMaxRegister, name, kind.Request{}).(kind.Unwrapper).Unwrap().(*slmem.PooledMaxRegister)
-}
-
-// Snapshot returns the named snapshot of string components, creating it on
-// first use. Its components number Procs: one slot per process id.
-func (r *Registry) Snapshot(name string) *slmem.Pool[string] {
-	return r.mustGet(KindSnapshot, name, kind.Request{}).(kind.Unwrapper).Unwrap().(*slmem.Pool[string])
-}
-
-// Object returns the named universal-construction object of the given
-// simple type, creating it on first use. Subsequent calls must name the
-// same type.
-func (r *Registry) Object(name, typeName string) (*slmem.PooledObject, error) {
-	// Validate the type before Get: an unknown type must not register an
-	// object (and must not panic the builtin accessor path).
-	if _, err := builtin.ObjectType(typeName); err != nil {
-		return nil, fmt.Errorf("registry: %v", err)
-	}
-	inst, _, err := r.Get(KindObject, name, kind.Request{Op: "execute", Type: typeName})
-	if err != nil {
-		return nil, err
-	}
-	if tn := inst.(kind.TypeNamer).TypeName(); tn != typeName {
-		return nil, fmt.Errorf("registry: object %q already exists with type %q, not %q", name, tn, typeName)
-	}
-	return inst.(kind.Unwrapper).Unwrap().(*slmem.PooledObject), nil
 }
 
 // Names returns the names registered under kind, sorted.

@@ -6,16 +6,38 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"slmem"
+	"slmem/internal/kind"
 )
+
+// unwrapped resolves the named instance through Get and returns the slmem
+// handle behind it. Built-in kinds cannot fail creation from a valid
+// request, so a failure panics, which is safe from any goroutine.
+func unwrapped[T any](r *Registry, k Kind, name string, req kind.Request) T {
+	inst, _, err := r.Get(k, name, req)
+	if err != nil {
+		panic(fmt.Sprintf("registry: builtin kind %q: %v", k, err))
+	}
+	return inst.(kind.Unwrapper).Unwrap().(T)
+}
+
+func counterOf(r *Registry, name string) *slmem.PooledCounter {
+	return unwrapped[*slmem.PooledCounter](r, KindCounter, name, kind.Request{})
+}
+
+func snapshotOf(r *Registry, name string) *slmem.Pool[string] {
+	return unwrapped[*slmem.Pool[string]](r, KindSnapshot, name, kind.Request{})
+}
 
 func TestRegistryLazyCreateAndIdentity(t *testing.T) {
 	r := New(Options{Procs: 4})
-	a := r.Counter("clicks")
-	b := r.Counter("clicks")
+	a := counterOf(r, "clicks")
+	b := counterOf(r, "clicks")
 	if a != b {
 		t.Fatal("same name resolved to two counters")
 	}
-	if c := r.Counter("other"); c == a {
+	if c := counterOf(r, "other"); c == a {
 		t.Fatal("different names resolved to one counter")
 	}
 	st := r.Stats()
@@ -33,7 +55,7 @@ func TestRegistryConcurrentFirstUseAgrees(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			counters <- r.Counter("hot")
+			counters <- counterOf(r, "hot")
 		}()
 	}
 	wg.Wait()
@@ -53,19 +75,16 @@ func TestRegistryKindsShareOnePool(t *testing.T) {
 	r := New(Options{Procs: 3})
 	ctx := context.Background()
 
-	if err := r.Counter("c").Inc(ctx); err != nil {
+	if err := counterOf(r, "c").Inc(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.MaxRegister("m").MaxWrite(ctx, 9); err != nil {
+	if err := unwrapped[*slmem.PooledMaxRegister](r, KindMaxRegister, "m", kind.Request{}).MaxWrite(ctx, 9); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Snapshot("s").Update(ctx, "x"); err != nil {
+	if err := snapshotOf(r, "s").Update(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
-	o, err := r.Object("bag", "set")
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := unwrapped[*slmem.PooledObject](r, KindObject, "bag", kind.Request{Op: "execute", Type: "set"})
 	if _, err := o.Execute(ctx, "add(1)"); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +96,7 @@ func TestRegistryKindsShareOnePool(t *testing.T) {
 	if st.Pool.Acquires < 4 {
 		t.Fatalf("pool acquires = %d, want >= 4 (one per op)", st.Pool.Acquires)
 	}
-	view, err := r.Snapshot("s").Scan(ctx)
+	view, err := snapshotOf(r, "s").Scan(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,25 +107,37 @@ func TestRegistryKindsShareOnePool(t *testing.T) {
 
 func TestRegistryObjectTypeMismatch(t *testing.T) {
 	r := New(Options{Procs: 2})
-	if _, err := r.Object("x", "set"); err != nil {
+	inst, _, err := r.Get(KindObject, "x", kind.Request{Op: "execute", Type: "set"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Object("x", "accumulator"); err == nil {
+	// Get resolves the existing object whatever the request's type; the
+	// instance rejects a mismatched type when compiling the op.
+	again, _, err := r.Get(KindObject, "x", kind.Request{Op: "execute", Type: "accumulator"})
+	if err != nil || again != inst {
+		t.Fatalf("second Get = %v, %v; want the existing instance", again, err)
+	}
+	if _, err := again.Compile(kind.Request{Op: "execute", Type: "accumulator", Invocation: "read()"}); err == nil {
 		t.Fatal("type mismatch on existing object not rejected")
 	} else if !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := r.Object("y", "no-such-type"); err == nil {
+	if _, _, err := r.Get(KindObject, "y", kind.Request{Op: "execute", Type: "no-such-type"}); err == nil {
 		t.Fatal("unknown type not rejected")
+	}
+	if names := r.Names(KindObject); len(names) != 1 {
+		t.Fatalf("objects registered = %v, want only x (a failed creation registers nothing)", names)
 	}
 }
 
 func TestRegistryNames(t *testing.T) {
 	r := New(Options{Procs: 2, Shards: 4})
 	for i := 0; i < 5; i++ {
-		r.Counter(fmt.Sprintf("c%d", i))
+		counterOf(r, fmt.Sprintf("c%d", i))
 	}
-	r.MaxRegister("m0")
+	if _, _, err := r.Get(KindMaxRegister, "m0", kind.Request{}); err != nil {
+		t.Fatal(err)
+	}
 	names := r.Names(KindCounter)
 	if len(names) != 5 {
 		t.Fatalf("Names(counter) = %v, want 5 entries", names)
@@ -140,11 +171,11 @@ func TestRegistryConcurrentMixedTraffic(t *testing.T) {
 				var err error
 				switch (g + i) % 3 {
 				case 0:
-					err = r.Counter(name).Inc(ctx)
+					err = counterOf(r, name).Inc(ctx)
 				case 1:
-					err = r.Snapshot(name).Update(ctx, name)
+					err = snapshotOf(r, name).Update(ctx, name)
 				default:
-					_, err = r.Counter(name).Read(ctx)
+					_, err = counterOf(r, name).Read(ctx)
 				}
 				if err != nil {
 					t.Error(err)

@@ -12,15 +12,24 @@ import (
 	"slmem/internal/spec"
 )
 
-// cachedSimSystem builds a simulated system like simSystem, but exposes the
-// object (for cache stats) and lets tests disable the replay cache.
-func cachedSimSystem(typ Type, scripts [][]string, caching bool, obj **Object) sched.System {
+// objectSimSystem builds a simulated system like simSystem, exposing the
+// object (for cache and collector stats). A positive window replaces the
+// collection window. A reference system clears each process's cache anchor
+// before every operation and never collects, so every operation floors at
+// root v0: the full extraction of Algorithm 6, which is what a process's
+// first operation runs in production.
+func objectSimSystem(typ Type, scripts [][]string, window int, reference bool, obj **Object) sched.System {
 	n := len(scripts)
 	return sched.System{
 		N: n,
 		Setup: func(env *sched.Env) []sched.Program {
 			o := New(env, typ, n)
-			o.SetCaching(caching)
+			if window > 0 {
+				o.gc.window = window
+			}
+			if reference {
+				o.gc.window = 1 << 30
+			}
 			if obj != nil {
 				*obj = o
 			}
@@ -31,6 +40,9 @@ func cachedSimSystem(typ Type, scripts [][]string, caching bool, obj **Object) s
 					for _, desc := range scripts[pid] {
 						desc := desc
 						p.Do(desc, func() string {
+							if reference {
+								o.cache[pid].anchor = nil
+							}
 							resp, err := o.Execute(pid, desc)
 							if err != nil {
 								return "ERR:" + err.Error()
@@ -43,6 +55,39 @@ func cachedSimSystem(typ Type, scripts [][]string, caching bool, obj **Object) s
 			return progs
 		},
 	}
+}
+
+// step is one operation of a single-goroutine differential script.
+type step struct {
+	pid  int
+	desc string
+}
+
+// randomScript draws ops operations over n processes from descs.
+func randomScript(rng *rand.Rand, n, ops int, descs []string) []step {
+	script := make([]step, ops)
+	for i := range script {
+		script[i] = step{pid: rng.Intn(n), desc: descs[rng.Intn(len(descs))]}
+	}
+	return script
+}
+
+// sequentialReplay is the reference for single-goroutine differentials.
+// Executed one at a time, every operation's scan sees all earlier ones, so
+// the construction must linearize in script order: each response is the
+// sequential specification's, applied in that order.
+func sequentialReplay(t testing.TB, sp spec.Spec, script []step) []string {
+	t.Helper()
+	state := sp.Initial()
+	resps := make([]string, len(script))
+	for i, s := range script {
+		var err error
+		state, resps[i], err = sp.Apply(state, s.pid, s.desc)
+		if err != nil {
+			t.Fatalf("reference op %d (%s by p%d): %v", i, s.desc, s.pid, err)
+		}
+	}
+	return resps
 }
 
 // counterScripts builds per-process scripts long enough that later
@@ -62,10 +107,10 @@ func counterScripts(n, opsPerProc int) [][]string {
 	return scripts
 }
 
-// TestReplayCacheDifferentialNative replays identical randomized invocation
-// interleavings against a cached and an uncached object: every response must
-// be byte-identical (the cache computes the same function of each scanned
-// view, just incrementally).
+// TestReplayCacheDifferentialNative replays randomized invocation
+// interleavings against an object and the sequential-replay reference:
+// every response must be byte-identical (the cache computes the same
+// function of each scanned view, just incrementally).
 func TestReplayCacheDifferentialNative(t *testing.T) {
 	types := map[string]struct {
 		typ Type
@@ -81,40 +126,23 @@ func TestReplayCacheDifferentialNative(t *testing.T) {
 		tc := tc
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 5; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				type step struct {
-					pid  int
-					desc string
-				}
-				script := make([]step, ops)
-				for i := range script {
-					script[i] = step{pid: rng.Intn(n), desc: tc.ops[rng.Intn(len(tc.ops))]}
-				}
+				script := randomScript(rand.New(rand.NewSource(seed)), n, ops, tc.ops)
+				want := sequentialReplay(t, tc.typ.Spec(), script)
 
-				var alloc1, alloc2 memory.NativeAllocator
-				cached := New(&alloc1, tc.typ, n)
-				uncached := New(&alloc2, tc.typ, n)
-				uncached.SetCaching(false)
+				var alloc memory.NativeAllocator
+				cached := New(&alloc, tc.typ, n)
 				for i, s := range script {
 					got, err := cached.Execute(s.pid, s.desc)
 					if err != nil {
 						t.Fatalf("seed %d cached op %d: %v", seed, i, err)
 					}
-					want, err := uncached.Execute(s.pid, s.desc)
-					if err != nil {
-						t.Fatalf("seed %d uncached op %d: %v", seed, i, err)
-					}
-					if got != want {
-						t.Fatalf("seed %d: op %d %s by p%d diverges: cached %q, uncached %q",
-							seed, i, s.desc, s.pid, got, want)
+					if got != want[i] {
+						t.Fatalf("seed %d: op %d %s by p%d diverges: cached %q, sequential %q",
+							seed, i, s.desc, s.pid, got, want[i])
 					}
 				}
-				st := cached.CacheStats()
-				if st.Hits == 0 {
+				if st := cached.CacheStats(); st.Hits == 0 {
 					t.Errorf("seed %d: cached run recorded no cache hits", seed)
-				}
-				if un := uncached.CacheStats(); un.Hits != 0 || un.Misses != 0 {
-					t.Errorf("seed %d: uncached object touched the cache: %+v", seed, un)
 				}
 			}
 		})
@@ -122,17 +150,18 @@ func TestReplayCacheDifferentialNative(t *testing.T) {
 }
 
 // TestReplayCacheDifferentialSched runs the same adversarial schedule against
-// a cached and an uncached system. The cache performs no shared-memory steps
-// of its own, so the same seed yields the same schedule — and the interpreted
-// histories (invocations, responses, interleaving) must match byte for byte.
-// (Raw transcripts render node pointer addresses, so they are compared at the
+// a production system and the reference system, whose every operation is a
+// full extraction. The cache performs no shared-memory steps of its own, so
+// the same seed yields the same schedule — and the interpreted histories
+// (invocations, responses, interleaving) must match byte for byte. (Raw
+// transcripts render node pointer addresses, so they are compared at the
 // operation level.)
 func TestReplayCacheDifferentialSched(t *testing.T) {
 	scripts := counterScripts(3, 6)
 	for seed := int64(0); seed < 25; seed++ {
 		var cachedObj *Object
-		resCached := sched.Run(cachedSimSystem(CounterType{}, scripts, true, &cachedObj), sched.NewSeeded(seed), sched.Options{})
-		resPlain := sched.Run(cachedSimSystem(CounterType{}, scripts, false, nil), sched.NewSeeded(seed), sched.Options{})
+		resCached := sched.Run(objectSimSystem(CounterType{}, scripts, 0, false, &cachedObj), sched.NewSeeded(seed), sched.Options{})
+		resPlain := sched.Run(objectSimSystem(CounterType{}, scripts, 0, true, nil), sched.NewSeeded(seed), sched.Options{})
 		if !resCached.Completed() || !resPlain.Completed() {
 			t.Fatalf("seed %d: incomplete run: %v / %v", seed, resCached.Err, resPlain.Err)
 		}
@@ -145,7 +174,7 @@ func TestReplayCacheDifferentialSched(t *testing.T) {
 			}
 		}
 		if got, want := resCached.T.Interpreted().String(), resPlain.T.Interpreted().String(); got != want {
-			t.Fatalf("seed %d: cached and uncached histories diverge:\n--- cached ---\n%s\n--- uncached ---\n%s",
+			t.Fatalf("seed %d: cached and reference histories diverge:\n--- cached ---\n%s\n--- reference ---\n%s",
 				seed, got, want)
 		}
 		if st := cachedObj.CacheStats(); st.Hits+st.Misses == 0 {
@@ -156,13 +185,13 @@ func TestReplayCacheDifferentialSched(t *testing.T) {
 
 // TestReplayCacheFallbackUnderAdversary checks the miss path: under heavily
 // interleaved schedules some operations must observe non-covering stragglers
-// and fall back to full replay, and the histories must stay linearizable.
+// and fall back to the root, and the histories must stay linearizable.
 func TestReplayCacheFallbackUnderAdversary(t *testing.T) {
 	scripts := counterScripts(4, 5)
 	var totalMisses int64
 	for seed := int64(0); seed < 40; seed++ {
 		var obj *Object
-		res := sched.Run(cachedSimSystem(CounterType{}, scripts, true, &obj), sched.NewSeeded(seed), sched.Options{})
+		res := sched.Run(objectSimSystem(CounterType{}, scripts, 0, false, &obj), sched.NewSeeded(seed), sched.Options{})
 		if !res.Completed() {
 			t.Fatalf("seed %d: incomplete: %v", seed, res.Err)
 		}
@@ -185,7 +214,7 @@ func TestReplayCacheFallbackUnderAdversary(t *testing.T) {
 // continuations off shared prefixes and verify a prefix-preserving
 // linearization order exists (the paper's strong-linearizability witness).
 func TestReplayCacheStrongPrefixTrees(t *testing.T) {
-	sys := cachedSimSystem(CounterType{}, counterScripts(2, 3), true, nil)
+	sys := objectSimSystem(CounterType{}, counterScripts(2, 3), 0, false, nil)
 	for seed := int64(0); seed < 6; seed++ {
 		probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
 		if !probe.Completed() {
@@ -237,48 +266,12 @@ func TestReplayCacheSteadyStateHits(t *testing.T) {
 	if st.Hits < ops-4 {
 		t.Errorf("hits = %d, want >= %d (every op after each process's first)", st.Hits, ops-4)
 	}
-	if got := o.HistorySize(0); got != ops {
-		t.Errorf("HistorySize = %d, want %d (cache must not drop history)", got, ops)
+	if got := o.GCStats(0).LiveNodes; got != ops {
+		t.Errorf("LiveNodes = %d, want %d (cache must not drop history)", got, ops)
 	}
 	if got, err := o.Execute(0, "read()"); err != nil || got != strconv.Itoa(ops) {
 		t.Errorf("read() = %q, %v; want %d", got, err, ops)
 	}
-}
-
-// TestReplayCacheDisableEnable checks SetCaching round trips: anchors
-// describe closed history prefixes, so a cache that sat disabled while
-// operations executed resumes correctly.
-func TestReplayCacheDisableEnable(t *testing.T) {
-	var alloc1, alloc2 memory.NativeAllocator
-	o := New(&alloc1, CounterType{}, 2)
-	ref := New(&alloc2, CounterType{}, 2)
-	ref.SetCaching(false)
-	run := func(pid int, desc string) {
-		t.Helper()
-		got, err := o.Execute(pid, desc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Execute(pid, desc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%s by p%d: got %q, want %q", desc, pid, got, want)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		run(i%2, "inc()")
-	}
-	o.SetCaching(false)
-	for i := 0; i < 10; i++ {
-		run(i%2, "inc()")
-	}
-	o.SetCaching(true) // stale anchor: 10 ops behind
-	for i := 0; i < 10; i++ {
-		run(i%2, "inc()")
-	}
-	run(0, "read()")
 }
 
 // checkpointSpy wraps a Spec and counts Checkpoint calls, proving Execute
@@ -312,14 +305,6 @@ func TestReplayCacheUsesCheckpointHook(t *testing.T) {
 	}
 	if spy.calls != ops {
 		t.Errorf("Checkpoint called %d times, want %d (once per cached operation)", spy.calls, ops)
-	}
-	o.SetCaching(false)
-	before := spy.calls
-	if _, err := o.Execute(0, "inc()"); err != nil {
-		t.Fatal(err)
-	}
-	if spy.calls != before {
-		t.Errorf("Checkpoint called on the uncached path")
 	}
 }
 

@@ -5,16 +5,17 @@
 //
 // # Protocol
 //
-// After every operation, process p publishes a watermark: a copy of the
-// per-process index prefix it just linearized (its anchor — exactly what
-// remember caches) in a single-writer padded register, plus the version of
-// the truncation root the operation executed against. The hot path never
-// reads another process's watermark; only the amortized truncation pass
-// does, so no shared steps are added to Execute (the registers live outside
-// the simulated shared memory, invisible to the sched adversary — GC-on and
-// GC-off runs take byte-identical schedules).
+// After every operation, process p publishes a watermark in a single-writer
+// padded register: the per-process index prefix it just linearized — the
+// very slice remember caches as its anchor — plus the version of the
+// truncation root the operation executed against. The hot path never reads
+// another process's watermark; only the amortized truncation pass does, so
+// no shared steps are added to Execute (the registers live outside the
+// simulated shared memory, invisible to the sched adversary — a run that
+// truncates and one whose collector never fires take byte-identical
+// schedules).
 //
-// Every Window operations a process attempts a truncation pass (one
+// Every gcWindow operations a process attempts a truncation pass (one
 // TryLock'd collector at a time). The pass reads all n watermarks, takes
 // their pointwise minimum M, and lowers M to a fixpoint where every
 // reachable node outside the prefix {(q,i) : i <= M[q]} covers M — its
@@ -52,7 +53,8 @@
 //     sequential state changes no response and reorders nothing, which is
 //     precisely prefix preservation.
 //
-// The pass publishes the new root {cut M, checkpointed base state, version}
+// Every object starts at root v0: cut all −1, base the initial state. The
+// pass publishes each new root {cut M, checkpointed base state, version}
 // in one atomic pointer. Physical reclamation is deferred: the boundary
 // nodes (index exactly M[q]) keep their preceding views until every
 // process's watermark records a root version at or past the truncation —
@@ -67,7 +69,7 @@
 // process that never executes pins the graph (its watermark never
 // advances). The bound on live nodes is therefore the number of operations
 // executed between the slowest process's consecutive operations, plus the
-// Window between collector passes — flat under steady traffic from every
+// window between collector passes — flat under steady traffic from every
 // process, the churn soak's assertion.
 package universal
 
@@ -78,24 +80,15 @@ import (
 	"slmem/internal/spec"
 )
 
-// DefaultGCWindow is the operations-per-process between truncation attempts
-// when GCOptions.Window is not set.
-const DefaultGCWindow = 256
-
-// GCOptions configures precedence-graph garbage collection.
-type GCOptions struct {
-	// Window is the number of operations a process executes between
-	// truncation attempts; 0 or negative selects DefaultGCWindow. Smaller
-	// windows truncate sooner and bound live nodes tighter at the cost of
-	// more frequent collector passes.
-	Window int
-}
+// gcWindow is the number of operations a process executes between
+// truncation attempts.
+const gcWindow = 256
 
 // GCStats describes the garbage collector's progress.
 type GCStats struct {
 	// LiveNodes is the number of precedence-graph nodes reachable past the
-	// truncation root, from one root scan. With GC disabled it is the full
-	// history size.
+	// truncation root, from one root scan. Until the first truncation it is
+	// the full history size.
 	LiveNodes int
 	// Truncations counts completed truncation passes that advanced the root.
 	Truncations int64
@@ -159,7 +152,7 @@ type pendingTrim struct {
 
 // gcInfo is the per-object collector state.
 type gcInfo struct {
-	window      int
+	window      int // gcWindow; a field only so in-package tests can shrink it
 	state       atomic.Pointer[gcState]
 	marks       []watermark
 	mu          sync.Mutex // serializes collector passes; guards pending
@@ -171,39 +164,10 @@ type gcInfo struct {
 	replayFails atomic.Int64
 }
 
-// SetGC enables precedence-graph garbage collection. Like SetCaching it
-// must not be called concurrently with Execute; unlike caching, GC cannot
-// be disabled once enabled — after the first pointer cuts the untruncated
-// history no longer exists. Calling SetGC again only retunes the window.
-func (o *Object) SetGC(opts GCOptions) {
-	window := opts.Window
-	if window <= 0 {
-		window = DefaultGCWindow
-	}
-	if o.gc != nil {
-		o.gc.window = window
-		return
-	}
-	g := &gcInfo{window: window, marks: make([]watermark, o.n)}
-	cut := make([]int, o.n)
-	for q := range cut {
-		cut[q] = -1
-	}
-	g.state.Store(&gcState{cut: cut, base: o.sp.Initial(), version: 0})
-	o.gc = g
-}
-
-// GCEnabled reports whether SetGC has enabled truncation.
-func (o *Object) GCEnabled() bool { return o.gc != nil }
-
 // GCStats returns collector progress, as process p (one root scan, same
-// pid ownership rules as Execute). With GC disabled only LiveNodes is set,
-// to the full history size.
+// pid ownership rules as Execute).
 func (o *Object) GCStats(p int) GCStats {
-	if o.gc == nil {
-		return GCStats{LiveNodes: o.HistorySize(p)}
-	}
-	g := o.gc
+	g := &o.gc
 	gs := g.state.Load()
 	delta, ok := deltaNodes(gs.cut, o.root.Scan(p))
 	if !ok {
@@ -224,20 +188,12 @@ func (o *Object) GCStats(p int) GCStats {
 }
 
 // afterOp publishes process p's watermark for the operation that just
-// completed (node e over view, executed against root gs) and runs the
-// amortized collector every window operations.
-func (g *gcInfo) afterOp(o *Object, p int, view []*node, e *node, gs *gcState) {
-	rec := &watermarkRec{anchor: make([]int, o.n), version: gs.version}
-	for q, nd := range view {
-		if nd == nil {
-			rec.anchor[q] = -1
-		} else {
-			rec.anchor[q] = nd.index
-		}
-	}
-	rec.anchor[e.pid] = e.index
+// completed — anchor, the prefix it linearized, shared with the replay
+// cache — executed over view against root gs, and runs the amortized
+// collector every window operations.
+func (g *gcInfo) afterOp(o *Object, p int, anchor []int, view []*node, gs *gcState) {
 	w := &g.marks[p]
-	w.rec.Store(rec)
+	w.rec.Store(&watermarkRec{anchor: anchor, version: gs.version})
 
 	w.ops++
 	if w.ops < g.window {
@@ -253,7 +209,7 @@ func (g *gcInfo) afterOp(o *Object, p int, view []*node, e *node, gs *gcState) {
 // collect is one truncation pass, run with g.mu held. It reuses the
 // caller's root scan (view) so the pass adds no shared steps of its own.
 func (o *Object) collect(view []*node) {
-	g := o.gc
+	g := &o.gc
 	cur := g.state.Load()
 
 	// Read every process's watermark. One unpublished mark pins everything:

@@ -12,44 +12,10 @@ import (
 	"slmem/internal/spec"
 )
 
-// gcSimSystem builds a simulated system like cachedSimSystem, with
-// truncation enabled at the given window.
-func gcSimSystem(typ Type, scripts [][]string, window int, obj **Object) sched.System {
-	n := len(scripts)
-	return sched.System{
-		N: n,
-		Setup: func(env *sched.Env) []sched.Program {
-			o := New(env, typ, n)
-			o.SetGC(GCOptions{Window: window})
-			if obj != nil {
-				*obj = o
-			}
-			progs := make([]sched.Program, n)
-			for pid := range scripts {
-				pid := pid
-				progs[pid] = func(p *sched.Proc) {
-					for _, desc := range scripts[pid] {
-						desc := desc
-						p.Do(desc, func() string {
-							resp, err := o.Execute(pid, desc)
-							if err != nil {
-								return "ERR:" + err.Error()
-							}
-							return resp
-						})
-					}
-				}
-			}
-			return progs
-		},
-	}
-}
-
-// TestGCDifferentialNative replays identical randomized interleavings
-// against a truncating and an unbounded object: every response must be
-// byte-identical. The window is tiny so the truncating run collects many
-// times mid-script, and the unbounded run proves the graph would otherwise
-// keep every node.
+// TestGCDifferentialNative replays randomized interleavings against a
+// truncating object and the sequential-replay reference: every response
+// must be byte-identical. The window is tiny so the run collects many times
+// mid-script.
 func TestGCDifferentialNative(t *testing.T) {
 	types := map[string]struct {
 		typ Type
@@ -66,32 +32,20 @@ func TestGCDifferentialNative(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var truncated int64
 			for seed := int64(0); seed < 5; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				type step struct {
-					pid  int
-					desc string
-				}
-				script := make([]step, ops)
-				for i := range script {
-					script[i] = step{pid: rng.Intn(n), desc: tc.ops[rng.Intn(len(tc.ops))]}
-				}
+				script := randomScript(rand.New(rand.NewSource(seed)), n, ops, tc.ops)
+				want := sequentialReplay(t, tc.typ.Spec(), script)
 
-				var alloc1, alloc2 memory.NativeAllocator
-				gcObj := New(&alloc1, tc.typ, n)
-				gcObj.SetGC(GCOptions{Window: 4})
-				unbounded := New(&alloc2, tc.typ, n)
+				var alloc memory.NativeAllocator
+				gcObj := New(&alloc, tc.typ, n)
+				gcObj.gc.window = 4
 				for i, s := range script {
 					got, err := gcObj.Execute(s.pid, s.desc)
 					if err != nil {
 						t.Fatalf("seed %d gc op %d: %v", seed, i, err)
 					}
-					want, err := unbounded.Execute(s.pid, s.desc)
-					if err != nil {
-						t.Fatalf("seed %d unbounded op %d: %v", seed, i, err)
-					}
-					if got != want {
-						t.Fatalf("seed %d: op %d %s by p%d diverges: gc %q, unbounded %q",
-							seed, i, s.desc, s.pid, got, want)
+					if got != want[i] {
+						t.Fatalf("seed %d: op %d %s by p%d diverges: gc %q, sequential %q",
+							seed, i, s.desc, s.pid, got, want[i])
 					}
 				}
 				st := gcObj.GCStats(0)
@@ -99,9 +53,6 @@ func TestGCDifferentialNative(t *testing.T) {
 				if st.LiveNodes+int(st.TruncatedNodes) != ops {
 					t.Errorf("seed %d: live %d + truncated %d != %d ops",
 						seed, st.LiveNodes, st.TruncatedNodes, ops)
-				}
-				if got := unbounded.GCStats(0); got.LiveNodes != ops {
-					t.Errorf("seed %d: unbounded object lost nodes: %d != %d", seed, got.LiveNodes, ops)
 				}
 			}
 			if truncated == 0 {
@@ -112,17 +63,18 @@ func TestGCDifferentialNative(t *testing.T) {
 }
 
 // TestGCDifferentialSched runs the same adversarial schedule against a
-// truncating and an unbounded system. The collector performs no
-// shared-memory steps of its own — it reuses the triggering operation's
-// scan and keeps watermarks outside the simulated memory — so the same
-// seed must yield byte-identical schedules and interpreted histories.
+// truncating system and the reference system, which never collects and
+// fully extracts every operation. The collector performs no shared-memory
+// steps of its own — it reuses the triggering operation's scan and keeps
+// watermarks outside the simulated memory — so the same seed must yield
+// byte-identical schedules and interpreted histories.
 func TestGCDifferentialSched(t *testing.T) {
 	scripts := counterScripts(3, 6)
 	var truncations int64
 	for seed := int64(0); seed < 25; seed++ {
 		var gcObj *Object
-		resGC := sched.Run(gcSimSystem(CounterType{}, scripts, 1, &gcObj), sched.NewSeeded(seed), sched.Options{})
-		resPlain := sched.Run(cachedSimSystem(CounterType{}, scripts, true, nil), sched.NewSeeded(seed), sched.Options{})
+		resGC := sched.Run(objectSimSystem(CounterType{}, scripts, 1, false, &gcObj), sched.NewSeeded(seed), sched.Options{})
+		resPlain := sched.Run(objectSimSystem(CounterType{}, scripts, 0, true, nil), sched.NewSeeded(seed), sched.Options{})
 		if !resGC.Completed() || !resPlain.Completed() {
 			t.Fatalf("seed %d: incomplete run: %v / %v", seed, resGC.Err, resPlain.Err)
 		}
@@ -135,7 +87,7 @@ func TestGCDifferentialSched(t *testing.T) {
 			}
 		}
 		if got, want := resGC.T.Interpreted().String(), resPlain.T.Interpreted().String(); got != want {
-			t.Fatalf("seed %d: truncated and unbounded histories diverge:\n--- gc ---\n%s\n--- unbounded ---\n%s",
+			t.Fatalf("seed %d: truncated and reference histories diverge:\n--- gc ---\n%s\n--- reference ---\n%s",
 				seed, got, want)
 		}
 		truncations += gcObj.gc.truncations.Load() // no GCStats: its scan would block outside the simulation
@@ -155,7 +107,7 @@ func TestGCFallbackUnderAdversary(t *testing.T) {
 	var totalMisses, truncations int64
 	for seed := int64(0); seed < 40; seed++ {
 		var obj *Object
-		res := sched.Run(gcSimSystem(CounterType{}, scripts, 1, &obj), sched.NewSeeded(seed), sched.Options{})
+		res := sched.Run(objectSimSystem(CounterType{}, scripts, 1, false, &obj), sched.NewSeeded(seed), sched.Options{})
 		if !res.Completed() {
 			t.Fatalf("seed %d: incomplete: %v", seed, res.Err)
 		}
@@ -179,12 +131,12 @@ func TestGCFallbackUnderAdversary(t *testing.T) {
 
 // TestGCStrongPrefixTrees runs the strong-linearizability prefix-tree check
 // over truncated histories: branch several adversarial continuations off
-// shared prefixes of a GC-enabled system and verify a prefix-preserving
+// shared prefixes of a truncating system and verify a prefix-preserving
 // linearization order exists. This is the Attiya–Castañeda–Enea point that
 // reclamation must be validated against prefix-preserving checks, not plain
 // linearizability.
 func TestGCStrongPrefixTrees(t *testing.T) {
-	sys := gcSimSystem(CounterType{}, counterScripts(2, 4), 1, nil)
+	sys := objectSimSystem(CounterType{}, counterScripts(2, 4), 1, false, nil)
 	for seed := int64(0); seed < 6; seed++ {
 		probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
 		if !probe.Completed() {
@@ -225,7 +177,7 @@ func TestGCTruncationRules(t *testing.T) {
 	build := func() (*Object, []*node) {
 		var alloc memory.NativeAllocator
 		o := New(&alloc, CounterType{}, 2)
-		o.SetGC(GCOptions{Window: 1 << 30}) // collect only when driven by hand
+		o.gc.window = 1 << 30 // collect only when driven by hand
 		// p1 executes first with an empty view: its node covers nothing.
 		if _, err := o.Execute(1, "inc()"); err != nil {
 			t.Fatal(err)
@@ -240,7 +192,7 @@ func TestGCTruncationRules(t *testing.T) {
 
 	t.Run("refuses-uncovered-cut", func(t *testing.T) {
 		o, view := build()
-		g := o.gc
+		g := &o.gc
 		// Fabricate watermarks claiming p0's prefix is anchored while p1's
 		// node — whose view covers neither — stays outside the cut. The
 		// fixpoint must walk the cut back to nothing.
@@ -256,7 +208,7 @@ func TestGCTruncationRules(t *testing.T) {
 
 	t.Run("accepts-covered-cut", func(t *testing.T) {
 		o, view := build()
-		g := o.gc
+		g := &o.gc
 		// With p1's node inside the cut the remaining nodes all cover it.
 		g.marks[0].rec.Store(&watermarkRec{anchor: []int{5, 0}, version: 0})
 		g.marks[1].rec.Store(&watermarkRec{anchor: []int{5, 0}, version: 0})
@@ -289,7 +241,7 @@ func TestGCTruncationRules(t *testing.T) {
 func TestGCScanWatermarkGap(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
-	o.SetGC(GCOptions{Window: 1 << 30}) // collect only when driven by hand
+	o.gc.window = 1 << 30 // collect only when driven by hand
 	for i := 0; i < 4; i++ {
 		if _, err := o.Execute(0, "inc()"); err != nil {
 			t.Fatal(err)
@@ -311,7 +263,7 @@ func TestGCScanWatermarkGap(t *testing.T) {
 	// p0's watermark predates p1 entirely, so the candidate cut leaves the
 	// slow node outside the prefix while truncating p0's operations — which
 	// the slow node's empty view does not cover.
-	g := o.gc
+	g := &o.gc
 	g.marks[0].rec.Store(&watermarkRec{anchor: []int{3, -1}, version: 0})
 
 	g.mu.Lock()
@@ -350,7 +302,7 @@ func TestGCScanWatermarkGap(t *testing.T) {
 func TestGCReplayFailureSurfaced(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
-	o.SetGC(GCOptions{Window: 1 << 30})
+	o.gc.window = 1 << 30
 	for i := 0; i < 3; i++ {
 		if _, err := o.Execute(0, "inc()"); err != nil {
 			t.Fatal(err)
@@ -362,7 +314,7 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	o.root.Update(1, bogus)
 	o.index[1] = 1
 	view := o.root.Scan(0)
-	g := o.gc
+	g := &o.gc
 	g.marks[0].rec.Store(&watermarkRec{anchor: []int{2, 0}, version: 0})
 	g.marks[1].rec.Store(&watermarkRec{anchor: []int{2, 0}, version: 0})
 	g.mu.Lock()
@@ -379,12 +331,12 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 
 // TestGCCoverageFailureSurfaced pins the observability of a broken
 // truncation invariant: if a reachable node does not cover the root,
-// Execute errors and both GCStats and HistorySize must count the failure
-// instead of silently under-reporting the live set.
+// Execute errors and GCStats must count the failure instead of silently
+// under-reporting the live set.
 func TestGCCoverageFailureSurfaced(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
-	o.SetGC(GCOptions{Window: 4})
+	o.gc.window = 4
 	const ops = 64
 	for i := 0; i < ops; i++ {
 		if _, err := o.Execute(i%2, "inc()"); err != nil {
@@ -404,22 +356,22 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 		t.Fatal("Execute succeeded against a node that does not cover the root")
 	}
 	st := o.GCStats(0)
-	if st.CoverageFailures == 0 {
-		t.Fatalf("broken truncation invariant not surfaced: %+v", st)
+	if st.CoverageFailures < 2 {
+		t.Fatalf("broken truncation invariant not surfaced by both Execute and GCStats: %+v", st)
 	}
-	if o.HistorySize(0) == 0 {
+	if st.LiveNodes == 0 {
 		t.Error("partial extraction reported zero live nodes")
 	}
 }
 
 // TestGCStaleAnchorFallback is the GC/replay-cache interaction contract: a
-// cache anchor stranded below the truncation root (e.g. after a caching
-// toggle across truncations) must fall back to the checkpointed root —
-// never panic, never resurrect the poisoned cache state.
+// cache anchor stranded below the truncation root must fall back to the
+// checkpointed root — never panic, never resurrect the poisoned cache
+// state.
 func TestGCStaleAnchorFallback(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
-	o.SetGC(GCOptions{Window: 4})
+	o.gc.window = 4
 	const ops = 64
 	for i := 0; i < ops; i++ {
 		if _, err := o.Execute(i%2, "inc()"); err != nil {
@@ -456,7 +408,7 @@ func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 			N: n,
 			Setup: func(env *sched.Env) []sched.Program {
 				o := New(env, CounterType{}, n)
-				o.SetGC(GCOptions{Window: 1})
+				o.gc.window = 1
 				if obj != nil {
 					*obj = o
 				}
@@ -514,10 +466,10 @@ func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 
 // TestGCChurnSoak is the acceptance soak: over >= 100k operations the
 // truncating object's live-node count stays flat — within 2x of the
-// collection period (window x processes) — while the unbounded object grows
-// linearly with every operation.
+// collection period (window x processes) — while an object whose collector
+// never runs grows linearly with every operation.
 func TestGCChurnSoak(t *testing.T) {
-	const n, window = 4, 256
+	const n, window = 4, gcWindow
 	ops := 100_000
 	if testing.Short() {
 		ops = 20_000
@@ -525,8 +477,8 @@ func TestGCChurnSoak(t *testing.T) {
 
 	var alloc1, alloc2 memory.NativeAllocator
 	bounded := New(&alloc1, CounterType{}, n)
-	bounded.SetGC(GCOptions{Window: window})
 	unbounded := New(&alloc2, CounterType{}, n)
+	unbounded.gc.window = 1 << 30
 
 	bound := 2 * n * window
 	maxLive := 0
@@ -557,7 +509,7 @@ func TestGCChurnSoak(t *testing.T) {
 	// Physical truncation: an unrestricted walk from a fresh scan must stop
 	// at the severed boundaries, reaching far fewer nodes than executed.
 	// (Quiescent now, so reading trimmed views is safe.)
-	if reachable := len(precgraph(bounded.root.Scan(0)).nodes); reachable >= ops/10 {
+	if reachable := len(fullGraph(bounded.root.Scan(0)).nodes); reachable >= ops/10 {
 		t.Errorf("unrestricted walk still reaches %d of %d nodes; boundary views not cut", reachable, ops)
 	}
 
@@ -568,7 +520,7 @@ func TestGCChurnSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := unbounded.HistorySize(0); got != ubOps {
+	if got := unbounded.GCStats(0).LiveNodes; got != ubOps {
 		t.Errorf("unbounded history = %d after %d ops, want exact linear growth", got, ubOps)
 	}
 }
@@ -585,8 +537,7 @@ func TestGCConcurrentChurn(t *testing.T) {
 	}
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, n)
-	o.SetCaching(true) // production config: without it a pinned collector makes ops O(history)
-	o.SetGC(GCOptions{Window: 64})
+	o.gc.window = 64
 
 	// Interleave for real: on one CPU the goroutines otherwise run in
 	// staggered bursts — the first finishes before the last starts — and a
@@ -685,8 +636,8 @@ func TestGCBatchAnchoring(t *testing.T) {
 // each input byte selects the next process and operation, so the byte
 // stream drives watermark publication and collection cadence through
 // arbitrary interleavings. The truncating object must agree with the
-// unbounded reference on every response, and its node accounting must
-// balance.
+// sequential-replay reference on every response, and its node accounting
+// must balance.
 func FuzzGCWatermarkOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2, 3, 4, 5})
 	f.Add([]byte("\x00\x00\x00\x01\x02\x03\x04\x05\x06\a\b\t\n\v\f\r"))
@@ -694,24 +645,22 @@ func FuzzGCWatermarkOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 3
 		ops := []string{"inc()", "read()"}
-		var alloc1, alloc2 memory.NativeAllocator
-		gcObj := New(&alloc1, CounterType{}, n)
-		gcObj.SetGC(GCOptions{Window: 2})
-		ref := New(&alloc2, CounterType{}, n)
-		total := 0
+		script := make([]step, len(data))
 		for i, b := range data {
-			pid := int(b) % n
-			desc := ops[(int(b)/n)%len(ops)]
-			got, err := gcObj.Execute(pid, desc)
+			script[i] = step{pid: int(b) % n, desc: ops[(int(b)/n)%len(ops)]}
+		}
+		want := sequentialReplay(t, spec.Counter{}, script)
+		var alloc memory.NativeAllocator
+		gcObj := New(&alloc, CounterType{}, n)
+		gcObj.gc.window = 2
+		total := 0
+		for i, s := range script {
+			got, err := gcObj.Execute(s.pid, s.desc)
 			if err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
-			want, err := ref.Execute(pid, desc)
-			if err != nil {
-				t.Fatalf("ref op %d: %v", i, err)
-			}
-			if got != want {
-				t.Fatalf("op %d (%s by p%d): gc %q, unbounded %q", i, desc, pid, got, want)
+			if got != want[i] {
+				t.Fatalf("op %d (%s by p%d): gc %q, sequential %q", i, s.desc, s.pid, got, want[i])
 			}
 			total++
 		}
@@ -722,23 +671,19 @@ func FuzzGCWatermarkOrder(f *testing.F) {
 	})
 }
 
-// TestGCRetune pins the SetGC contract: enabling is sticky, re-calling only
-// retunes the window.
-func TestGCRetune(t *testing.T) {
+// TestGCDefaultRoot pins the unconditional truncation root: a fresh object
+// starts at root v0 — cut all −1, the initial state — with the fixed
+// window, and a lone process truncates its own history.
+func TestGCDefaultRoot(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 1)
-	if o.GCEnabled() {
-		t.Fatal("GC enabled before SetGC")
+	if gs := o.gc.state.Load(); gs.version != 0 || gs.cut[0] != -1 || gs.base != o.sp.Initial() {
+		t.Fatalf("fresh root = %+v, want v0, cut [-1], initial state", gs)
 	}
-	o.SetGC(GCOptions{})
-	if !o.GCEnabled() || o.gc.window != DefaultGCWindow {
-		t.Fatalf("default window = %d, want %d", o.gc.window, DefaultGCWindow)
+	if o.gc.window != gcWindow {
+		t.Fatalf("window = %d, want %d", o.gc.window, gcWindow)
 	}
-	first := o.gc
-	o.SetGC(GCOptions{Window: 8})
-	if o.gc != first || o.gc.window != 8 {
-		t.Fatal("SetGC retune replaced the collector state")
-	}
+	o.gc.window = 8
 	for i := 0; i < 64; i++ {
 		if _, err := o.Execute(0, "inc()"); err != nil {
 			t.Fatal(err)

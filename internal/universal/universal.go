@@ -18,7 +18,8 @@
 // As the paper notes (Section 5.3/6), the construction keeps every node
 // forever: it is wait-free but not bounded wait-free. Executed naively,
 // steps 2-4 re-extract and re-sort the whole history, so per-operation cost
-// grows with history length — measured by experiment E6.
+// grows with history length — measured by experiment E6 on a process's
+// first operation, which has no cache anchor yet.
 //
 // # Replay cache
 //
@@ -35,15 +36,17 @@
 // (their view reaches every anchored node through the per-process chains)
 // and therefore also by the dominance rules, whose edges toward already
 // preceding nodes are skipped — so the cached prefix is exactly a prefix of
-// the full linearization, node orders and responses byte-identical to an
-// uncached run (the differential tests check this). A non-covering node
+// the full linearization, node orders and responses byte-identical to a
+// full extraction (the differential tests check this). A non-covering node
 // (a genuinely concurrent straggler that might linearize inside the cached
-// prefix) forces a fallback to full re-extraction, after which the cache
-// re-anchors.
+// prefix) forces a fallback to the truncation root (gc.go), after which the
+// cache re-anchors. Until the collector first advances it, the root is v0 —
+// cut all −1, the initial state — and the fallback is the full extraction
+// of Algorithm 6.
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
 // legal root scan returns, writes nothing shared, and computes the same
-// response function of the scanned view as the uncached algorithm.
+// response function of the scanned view as the full algorithm.
 package universal
 
 import (
@@ -160,7 +163,7 @@ type CacheStats struct {
 	// Hits counts operations that replayed only the delta beyond their
 	// process's anchor.
 	Hits int64
-	// Misses counts operations that fell back to a full history replay
+	// Misses counts operations that fell back to the truncation root
 	// because some extracted node did not cover the anchor.
 	Misses int64
 	// Anchors counts durable re-anchors: checkpoints written to the cache.
@@ -173,14 +176,13 @@ type CacheStats struct {
 // Methods take the calling process id; at most one goroutine may drive a
 // given pid at a time.
 type Object struct {
-	t       Type
-	sp      spec.Spec
-	n       int
-	root    Root
-	index   []int // per-process count of executed operations
-	caching bool
-	cache   []pcache
-	gc      *gcInfo // nil until SetGC enables truncation
+	t     Type
+	sp    spec.Spec
+	n     int
+	root  Root
+	index []int // per-process count of executed operations
+	cache []pcache
+	gc    gcInfo
 }
 
 // New constructs the object over the strongly linearizable snapshot of
@@ -195,24 +197,23 @@ func NewWithRoot(t Type, n int, root Root) *Object {
 	if n < 1 {
 		panic(fmt.Sprintf("universal: n = %d, need at least 1 process", n))
 	}
-	return &Object{
-		t:       t,
-		sp:      t.Spec(),
-		n:       n,
-		root:    root,
-		index:   make([]int, n),
-		caching: true,
-		cache:   make([]pcache, n),
+	o := &Object{
+		t:     t,
+		sp:    t.Spec(),
+		n:     n,
+		root:  root,
+		index: make([]int, n),
+		cache: make([]pcache, n),
 	}
+	cut := make([]int, n)
+	for q := range cut {
+		cut[q] = -1
+	}
+	o.gc.window = gcWindow
+	o.gc.marks = make([]watermark, n)
+	o.gc.state.Store(&gcState{cut: cut, base: o.sp.Initial()})
+	return o
 }
-
-// SetCaching enables or disables the replay cache (enabled by default).
-// Disabling forces every Execute through the full O(history) extract-and-
-// replay path; it exists for differential tests and growth measurements.
-// It must not be called concurrently with Execute. Cached anchors survive a
-// disable/enable cycle — an anchor describes a closed history prefix, which
-// stays valid no matter how many operations elapse.
-func (o *Object) SetCaching(on bool) { o.caching = on }
 
 // CacheStats returns the replay-cache hit/miss counters, summed over all
 // processes.
@@ -229,48 +230,32 @@ func (o *Object) CacheStats() CacheStats {
 // Execute performs the invocation as process p (Algorithm 5, execute):
 // it computes the response the history demands, publishes the operation's
 // node, and returns the response. With the replay cache warm it extracts,
-// sorts, and replays only the nodes beyond process p's anchor; with GC
-// enabled the replay floor never drops below the truncation root, whose
-// checkpointed state stands in for the truncated prefix.
+// sorts, and replays only the nodes beyond process p's anchor; the replay
+// floor never drops below the truncation root, whose checkpointed state
+// stands in for the truncated prefix.
 func (o *Object) Execute(p int, invoke string) (string, error) {
-	var gs *gcState
-	if o.gc != nil {
-		gs = o.gc.state.Load()
-	}
+	gs := o.gc.state.Load()
 	view := o.root.Scan(p) // line 81
 
 	anchor, state, fromCache := o.floor(p, gs)
 	delta, ok := deltaNodes(anchor, view) // line 82, restricted past the floor
 	switch {
-	case !ok && fromCache:
-		// Some extracted node does not cover the anchor and may linearize
-		// inside the cached prefix: fall back. With GC enabled the fallback
-		// floor is the truncation root — the history below it may already be
-		// trimmed — replayed from the checkpointed root state; without GC it
-		// is the full extraction.
-		o.cache[p].misses.Add(1)
-		if gs != nil {
-			anchor, state = gs.cut, gs.base
-		} else {
-			anchor, state = nil, o.sp.Initial()
-		}
-		delta, ok = deltaNodes(anchor, view)
-		if !ok {
-			o.gc.coverFails.Add(1)
-			return "", fmt.Errorf("universal: extracted node does not cover truncation root v%d", gs.version)
-		}
-	case !ok:
-		// The floor was the truncation root itself; every reachable node
-		// covers it (the truncation invariant), so this cannot happen. A nil
-		// floor never fails extraction at all.
-		ver := int64(-1)
-		if gs != nil {
-			ver = gs.version
-			o.gc.coverFails.Add(1)
-		}
-		return "", fmt.Errorf("universal: extracted node does not cover truncation root v%d", ver)
-	case fromCache:
+	case ok && fromCache:
 		o.cache[p].hits.Add(1)
+	case fromCache:
+		// Some extracted node does not cover the anchor and may linearize
+		// inside the cached prefix: fall back to the truncation root — the
+		// history below it may already be trimmed — replayed from its
+		// checkpointed state.
+		o.cache[p].misses.Add(1)
+		anchor, state = gs.cut, gs.base
+		delta, ok = deltaNodes(anchor, view)
+	}
+	if !ok {
+		// Every reachable node covers the truncation root (the truncation
+		// invariant), so this cannot happen; count it so it is observable.
+		o.gc.coverFails.Add(1)
+		return "", fmt.Errorf("universal: extracted node does not cover truncation root v%d", gs.version)
 	}
 	g := deltaGraph(anchor, delta)
 	h := o.linearize(g) // line 83: topological sort of lingraph(G)
@@ -298,30 +283,33 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 	}
 	o.index[p]++
 	o.root.Update(p, e) // line 91
-	if o.caching {
-		o.remember(p, view, e, next)
+
+	// The prefix this operation linearized: its view plus its own node. One
+	// immutable slice serves as both the cache anchor and the watermark.
+	linearized := make([]int, o.n)
+	for q, nd := range view {
+		if nd == nil {
+			linearized[q] = -1
+		} else {
+			linearized[q] = nd.index
+		}
 	}
-	if o.gc != nil {
-		o.gc.afterOp(o, p, view, e, gs)
-	}
+	linearized[p] = e.index
+	o.remember(p, linearized, next)
+	o.gc.afterOp(o, p, linearized, view, gs)
 	return resp, nil
 }
 
 // floor picks process p's replay floor: its cache anchor when one exists and
 // still covers the truncation root, else the truncation root itself (a
-// checkpoint replay), else nothing (the full extraction). A cache anchor
-// below the root — stale since before a truncation, e.g. after a caching
-// toggle — is simply unusable, never an error: the root state subsumes it.
+// checkpoint replay; at root v0 the full extraction). A cache anchor below
+// the root — stale since before a truncation — is simply unusable, never an
+// error: the root state subsumes it.
 func (o *Object) floor(p int, gs *gcState) (anchor []int, state string, fromCache bool) {
-	if o.caching {
-		if a := o.cache[p].anchor; a != nil && (gs == nil || atOrAbove(a, gs.cut)) {
-			return a, o.cache[p].state, true
-		}
+	if a := o.cache[p].anchor; a != nil && atOrAbove(a, gs.cut) {
+		return a, o.cache[p].state, true
 	}
-	if gs != nil {
-		return gs.cut, gs.base, false
-	}
-	return nil, o.sp.Initial(), false
+	return gs.cut, gs.base, false
 }
 
 // atOrAbove reports whether anchor a includes the cut pointwise.
@@ -334,24 +322,14 @@ func atOrAbove(a, cut []int) bool {
 	return true
 }
 
-// remember re-anchors process p's cache at the view it just linearized plus
-// its own freshly published node, with the sequential state that includes
-// its own operation. In batch mode the checkpoint — the durable re-anchor —
-// is deferred to EndBatch; the rolling anchor and raw state still advance so
-// every batch entry replays only its own delta.
-func (o *Object) remember(p int, view []*node, e *node, state string) {
+// remember re-anchors process p's cache at the prefix it just linearized,
+// with the sequential state that includes its own operation. In batch mode
+// the checkpoint — the durable re-anchor — is deferred to EndBatch; the
+// rolling anchor and raw state still advance so every batch entry replays
+// only its own delta.
+func (o *Object) remember(p int, anchor []int, state string) {
 	pc := &o.cache[p]
-	if pc.anchor == nil {
-		pc.anchor = make([]int, o.n)
-	}
-	for q, nd := range view {
-		if nd == nil {
-			pc.anchor[q] = -1
-		} else {
-			pc.anchor[q] = nd.index
-		}
-	}
-	pc.anchor[e.pid] = e.index
+	pc.anchor = anchor
 	if pc.deferred {
 		pc.state = state
 		pc.dirty = true
@@ -378,25 +356,6 @@ func (o *Object) EndBatch(p int) {
 		pc.state = spec.Checkpoint(o.sp, pc.state)
 		pc.anchors.Add(1)
 	}
-}
-
-// HistorySize returns the number of operations currently reachable in the
-// shared precedence graph, as observed by process p (for growth
-// measurements; one root scan). With GC enabled it reports the live nodes
-// past the truncation root — the truncated prefix survives only as the
-// root's checkpointed state.
-func (o *Object) HistorySize(p int) int {
-	view := o.root.Scan(p)
-	if o.gc != nil {
-		delta, ok := deltaNodes(o.gc.state.Load().cut, view)
-		if !ok {
-			// Broken truncation invariant: the count is partial; surface it
-			// through the stats counter rather than silently under-report.
-			o.gc.coverFails.Add(1)
-		}
-		return len(delta)
-	}
-	return len(precgraph(view).nodes)
 }
 
 // graph is a precedence/linearization graph over operation nodes.
@@ -485,7 +444,7 @@ func (g *graph) topoSort() []*node {
 // nothing else are reachable at or below the anchor (each process's nodes
 // form a preceding chain, and scans of q's component are monotone).
 func anchored(anchor []int, nd *node) bool {
-	return anchor != nil && nd.index <= anchor[nd.pid]
+	return nd.index <= anchor[nd.pid]
 }
 
 // covers reports whether a scanned view includes every anchored node: for
@@ -505,10 +464,10 @@ func covers(view []*node, anchor []int) bool {
 
 // deltaNodes implements Algorithm 6 restricted past an anchor: extract, in
 // canonical order, the nodes reachable from a root view whose operations are
-// not already in the anchored prefix (a nil anchor extracts everything —
+// not already in the anchored prefix (an all −1 anchor extracts everything —
 // the original algorithm). It reports ok=false when some extracted node does
 // not cover the anchor; such a node may linearize inside the anchored
-// prefix, so the caller must re-extract with a nil anchor. On failure the
+// prefix, so the caller must re-extract from a lower floor. On failure the
 // nodes extracted so far are still returned (unsorted) so counting callers
 // can report a partial size instead of zero.
 func deltaNodes(anchor []int, view []*node) (nodes []*node, ok bool) {
@@ -527,7 +486,7 @@ func deltaNodes(anchor []int, view []*node) (nodes []*node, ok bool) {
 		nd := queue[0]
 		queue = queue[1:]
 		nodes = append(nodes, nd)
-		if anchor != nil && !covers(nd.preceding, anchor) {
+		if !covers(nd.preceding, anchor) {
 			return nodes, false
 		}
 		for _, prev := range nd.preceding {
@@ -553,13 +512,6 @@ func deltaGraph(anchor []int, nodes []*node) *graph {
 		}
 	}
 	return g
-}
-
-// precgraph implements Algorithm 6: extract the precedence graph reachable
-// from a root view by following preceding pointers.
-func precgraph(view []*node) *graph {
-	nodes, _ := deltaNodes(nil, view)
-	return deltaGraph(nil, nodes)
 }
 
 // linearize implements Algorithm 5's lingraph (lines 68-80) followed by the

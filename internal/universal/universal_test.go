@@ -276,14 +276,14 @@ func TestStrongBranchingTrees(t *testing.T) {
 
 func TestHistoryGrowth(t *testing.T) {
 	// The shared precedence graph keeps every operation (the construction is
-	// not bounded wait-free; Section 5.3). HistorySize must track the total
-	// number of executed operations.
+	// not bounded wait-free; Section 5.3). Until the collector first runs,
+	// LiveNodes must track the total number of executed operations.
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
 	for i := 1; i <= 10; i++ {
 		mustExecute(t, o, i%2, "inc()")
-		if got := o.HistorySize(0); got != i {
-			t.Fatalf("after %d ops HistorySize = %d", i, got)
+		if got := o.GCStats(0).LiveNodes; got != i {
+			t.Fatalf("after %d ops LiveNodes = %d", i, got)
 		}
 	}
 }
@@ -329,7 +329,7 @@ func TestPrecgraphStructure(t *testing.T) {
 	mustExecute(t, o, 1, "inc()")
 	mustExecute(t, o, 0, "read()")
 
-	g := precgraph(o.root.Scan(0))
+	g := fullGraph(o.root.Scan(0))
 	if len(g.nodes) != 3 {
 		t.Fatalf("graph has %d nodes, want 3", len(g.nodes))
 	}
@@ -343,6 +343,17 @@ func TestPrecgraphStructure(t *testing.T) {
 			t.Errorf("no path between sequential ops %d and %d", i, i+1)
 		}
 	}
+}
+
+// fullGraph is Algorithm 6 with no floor: the precedence graph of every node
+// still linked from the scanned view.
+func fullGraph(view []*node) *graph {
+	none := make([]int, len(view))
+	for q := range none {
+		none[q] = -1
+	}
+	nodes, _ := deltaNodes(none, view)
+	return deltaGraph(none, nodes)
 }
 
 func TestValidateSimpleRejectsNonSimple(t *testing.T) {

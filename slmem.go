@@ -213,9 +213,14 @@ type (
 
 // Object is a lock-free strongly linearizable implementation of a simple
 // type via the Aspnes–Herlihy universal construction over the strongly
-// linearizable snapshot. By default the shared history grows with every
-// operation (the construction is wait-free but not bounded wait-free);
-// SetGC bounds it by low-watermark truncation.
+// linearizable snapshot. The construction itself keeps every operation (it
+// is wait-free but not bounded wait-free); every Object bounds its memory
+// by low-watermark truncation: each process attempts a collection pass
+// every 256 of its own operations, folding the operations below every
+// process's low watermark into a checkpointed root state, which preserves
+// strong linearizability (the truncated prefix is an exact prefix of every
+// future linearization). A process that never executes pins collection:
+// until every pid has executed, the history keeps growing.
 type Object struct {
 	inner *universal.Object
 }
@@ -234,48 +239,20 @@ func (o *Object) Execute(pid int, invocation string) (string, error) {
 	return o.inner.Execute(pid, invocation)
 }
 
-// SetCaching enables or disables the replay cache (enabled by default); see
-// the internal/universal package docs. Disabling forces every Execute
-// through the full history replay — useful only for measurements and
-// differential testing. Must not be called concurrently with Execute.
-func (o *Object) SetCaching(on bool) { o.inner.SetCaching(on) }
-
 // ObjectCacheStats counts replay-cache hits (delta replays), misses
-// (full-history fallbacks), and durable re-anchors across an Object's
+// (fallbacks to the truncation root), and durable re-anchors across an Object's
 // processes.
 type ObjectCacheStats = universal.CacheStats
 
 // CacheStats returns the replay-cache hit/miss counters.
 func (o *Object) CacheStats() ObjectCacheStats { return o.inner.CacheStats() }
 
-// ObjectGCOptions configures an Object's precedence-graph garbage
-// collection; see SetGC.
-type ObjectGCOptions = universal.GCOptions
-
 // ObjectGCStats describes an Object's garbage-collection progress; see
 // GCStats.
 type ObjectGCStats = universal.GCStats
 
-// DefaultObjectGCWindow is the per-process collection window SetGC uses
-// when ObjectGCOptions.Window is unset.
-const DefaultObjectGCWindow = universal.DefaultGCWindow
-
-// SetGC bounds the object's memory: completed operations below every
-// process's low watermark are folded into a checkpointed root state and
-// their history nodes reclaimed, preserving strong linearizability (the
-// truncated prefix is an exact prefix of every future linearization). Like
-// SetCaching it must not be called concurrently with Execute; unlike
-// caching it cannot be undone — calling SetGC again only retunes the
-// window. Note a process that stops executing pins collection at its last
-// watermark.
-func (o *Object) SetGC(opts ObjectGCOptions) { o.inner.SetGC(opts) }
-
-// GCEnabled reports whether SetGC has enabled history truncation.
-func (o *Object) GCEnabled() bool { return o.inner.GCEnabled() }
-
 // GCStats returns garbage-collection progress, reading as process pid
-// (same pid ownership rules as Execute). With GC disabled only LiveNodes
-// is populated, with the full history size.
+// (same pid ownership rules as Execute).
 func (o *Object) GCStats(pid int) ObjectGCStats { return o.inner.GCStats(pid) }
 
 // BeginBatch enters deferred re-anchoring for process pid: until EndBatch,

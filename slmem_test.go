@@ -196,6 +196,37 @@ func TestObjectConcurrentSoak(t *testing.T) {
 	}
 }
 
+// TestObjectTruncatesByDefault checks that every Object bounds its memory
+// with no configuration: with all n pids executing in rotation, the
+// collector truncates, live nodes stay within 3·n·window, and the
+// truncation protocol never fails.
+func TestObjectTruncatesByDefault(t *testing.T) {
+	const n, window = 4, 256
+	o := NewObject(CounterType{}, n)
+	maxLive := 0
+	for i := 0; i < 4*window*n; i++ {
+		if _, err := o.Execute(i%n, "inc()"); err != nil {
+			t.Fatal(err)
+		}
+		if i%window == window-1 {
+			maxLive = max(maxLive, o.GCStats(i%n).LiveNodes)
+		}
+	}
+	st := o.GCStats(0)
+	if st.Truncations == 0 {
+		t.Fatalf("no truncation after %d ops per pid: %+v", 4*window, st)
+	}
+	if bound := 3 * n * window; maxLive > bound {
+		t.Errorf("live nodes peaked at %d, want <= %d", maxLive, bound)
+	}
+	if st.CoverageFailures+st.ReplayFailures != 0 {
+		t.Errorf("truncation protocol failed: %+v", st)
+	}
+	if resp, err := o.Execute(0, "read()"); err != nil || resp != fmt.Sprint(4*window*n) {
+		t.Errorf("read = (%q,%v), want %d", resp, err, 4*window*n)
+	}
+}
+
 func TestValidateSimpleExported(t *testing.T) {
 	if err := ValidateSimple(CounterType{}, []string{"inc()", "read()"}, []int{0, 1}); err != nil {
 		t.Error(err)
