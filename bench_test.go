@@ -385,6 +385,50 @@ func BenchmarkUniversalWarm(b *testing.B) {
 	})
 }
 
+// BenchmarkUniversalColdMixed times a process's first operation — the full
+// extraction and lingraph pass from root v0 — on an accumulator history in
+// which every 8th operation is read(). addTo overwrites read, so lingraph
+// meets a dominance pair on most node pairs; the inc()-only histories above
+// have none. One pid never executes, pinning the collector, so the history
+// keeps every node.
+func BenchmarkUniversalColdMixed(b *testing.B) {
+	const fresh = 8 // first operations timed per built history
+	for _, history := range []int{256, 1024, 4096} {
+		b.Run("history-"+strconv.Itoa(history), func(b *testing.B) {
+			// Pids 0 and 1 build the history, pid 2 stays idle, and pids
+			// 3.. are each timed on their first operation.
+			build := func() *universal.Object {
+				var alloc memory.NativeAllocator
+				o := universal.New(&alloc, universal.AccumulatorType{}, 3+fresh)
+				for i := 0; i < history; i++ {
+					inv := "addTo(1)"
+					if i%8 == 7 {
+						inv = "read()"
+					}
+					if _, err := o.Execute(i%2, inv); err != nil {
+						b.Fatal(err)
+					}
+				}
+				return o
+			}
+			o, next := build(), 3
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if next == 3+fresh {
+					b.StopTimer()
+					o, next = build(), 3
+					b.StartTimer()
+				}
+				if _, err := o.Execute(next, "read()"); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+		})
+	}
+}
+
 // --- E5 companion: space growth as a benchmark metric ---------------------------
 
 func BenchmarkVersionedSpaceGrowth(b *testing.B) {

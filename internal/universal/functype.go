@@ -6,7 +6,8 @@ import "slmem/internal/spec"
 // predefined implementation. The commute/overwrite relations must satisfy
 // Definition 33 (check with ValidateSimple); CommutesFn may be nil when
 // OverwritesFn already relates every pair of invocations one way or the
-// other.
+// other. Both closures must be deterministic, pure functions of their
+// arguments, as Type requires.
 type FuncType struct {
 	// TypeName identifies the type.
 	TypeName string

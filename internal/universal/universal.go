@@ -17,9 +17,13 @@
 //
 // As the paper notes (Section 5.3/6), the construction keeps every node
 // forever: it is wait-free but not bounded wait-free. Executed naively,
-// steps 2-4 re-extract and re-sort the whole history, so per-operation cost
-// grows with history length — measured by experiment E6 on a process's
-// first operation, which has no cache anchor yet.
+// steps 2-4 re-extract and re-linearize the whole history, so per-operation
+// cost grows with history length — measured by experiment E6 on a
+// process's first operation, which has no cache anchor yet. Over k
+// extracted nodes, lingraph (lingraph.go) makes O(k²) constant-time pair
+// checks against a transitive-closure bit matrix of k²/64 words, asking
+// the type about dominance once per distinct pair of (invocation, pid)
+// classes while that memo is no larger than the closure.
 //
 // # Replay cache
 //
@@ -62,6 +66,11 @@ import (
 // Type describes a simple type: its sequential specification plus the
 // commute/overwrite calculus over invocation descriptions (which, per the
 // paper's Section 2, include the invoking process id).
+//
+// Commutes and Overwrites must be deterministic, pure functions of their
+// arguments: every process must derive the same linearization from the
+// same view, and the linearization memoizes dominance per distinct
+// (invocation, pid) pair.
 type Type interface {
 	// Name identifies the type.
 	Name() string
@@ -92,9 +101,13 @@ func Dominates(t Type, descA string, pidA int, descB string, pidB int) bool {
 }
 
 // ValidateSimple checks Definition 33 over a set of invocation samples:
-// every pair must commute or overwrite one way. It returns the first
-// offending pair, if any.
+// every pair must commute or overwrite one way. Sample i runs as process
+// pids[i%len(pids)]. It returns the first offending pair, if any, and an
+// error when there are samples but no pids to run them as.
 func ValidateSimple(t Type, descs []string, pids []int) error {
+	if len(pids) == 0 && len(descs) > 0 {
+		return fmt.Errorf("universal: validating %s: no pids to run %d invocation samples as", t.Name(), len(descs))
+	}
 	for i, a := range descs {
 		for j, b := range descs {
 			pa, pb := pids[i%len(pids)], pids[j%len(pids)]
@@ -358,87 +371,6 @@ func (o *Object) EndBatch(p int) {
 	}
 }
 
-// graph is a precedence/linearization graph over operation nodes.
-// Successors are kept in deterministic order so every process derives the
-// same topological sorts from the same view.
-type graph struct {
-	nodes []*node           // canonical order: (pid, index)
-	succ  map[*node][]*node // u -> nodes that must come after u
-	edges map[[2]*node]bool // membership for dedup and reachability
-}
-
-func newGraph(nodes []*node) *graph {
-	return &graph{
-		nodes: nodes,
-		succ:  make(map[*node][]*node, len(nodes)),
-		edges: make(map[[2]*node]bool),
-	}
-}
-
-func (g *graph) addEdge(u, v *node) {
-	key := [2]*node{u, v}
-	if g.edges[key] {
-		return
-	}
-	g.edges[key] = true
-	g.succ[u] = append(g.succ[u], v)
-}
-
-// reaches reports whether v is reachable from u by a path of length >= 1.
-func (g *graph) reaches(u, v *node) bool {
-	seen := make(map[*node]bool, len(g.nodes))
-	stack := append([]*node(nil), g.succ[u]...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == v {
-			return true
-		}
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		stack = append(stack, g.succ[cur]...)
-	}
-	return false
-}
-
-// topoSort returns the deterministic minimal topological order: among ready
-// nodes, the canonical-smallest (pid, index) goes first.
-func (g *graph) topoSort() []*node {
-	indeg := make(map[*node]int, len(g.nodes))
-	for _, u := range g.nodes {
-		for _, v := range g.succ[u] {
-			indeg[v]++
-		}
-	}
-	// ready is kept sorted; nodes start in canonical order.
-	var ready []*node
-	for _, u := range g.nodes {
-		if indeg[u] == 0 {
-			ready = append(ready, u)
-		}
-	}
-	out := make([]*node, 0, len(g.nodes))
-	for len(ready) > 0 {
-		u := ready[0]
-		ready = ready[1:]
-		out = append(out, u)
-		changed := false
-		for _, v := range g.succ[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready = append(ready, v)
-				changed = true
-			}
-		}
-		if changed {
-			sort.Slice(ready, func(i, j int) bool { return ready[i].less(ready[j]) })
-		}
-	}
-	return out
-}
-
 // anchored reports whether nd is inside the anchored prefix. The anchored
 // prefix is per-process index-closed: process q's nodes 0..anchor[q] and
 // nothing else are reachable at or below the anchor (each process's nodes
@@ -495,51 +427,4 @@ func deltaNodes(anchor []int, view []*node) (nodes []*node, ok bool) {
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].less(nodes[j]) })
 	return nodes, true
-}
-
-// deltaGraph builds the precedence graph over extracted nodes (lines
-// 117-118), keeping only edges between nodes past the anchor. Edges from
-// anchored nodes are redundant for ordering the delta: every anchored node
-// precedes every delta node (delta nodes cover the anchor), so they are
-// emitted first unconditionally.
-func deltaGraph(anchor []int, nodes []*node) *graph {
-	g := newGraph(nodes)
-	for _, nd := range nodes {
-		for _, prev := range nd.preceding {
-			if prev != nil && !anchored(anchor, prev) {
-				g.addEdge(prev, nd)
-			}
-		}
-	}
-	return g
-}
-
-// linearize implements Algorithm 5's lingraph (lines 68-80) followed by the
-// final topological sort (line 83).
-func (o *Object) linearize(g *graph) []*node {
-	ordered := g.topoSort() // line 68
-
-	l := newGraph(g.nodes) // line 69: L <- G
-	for _, u := range g.nodes {
-		for _, v := range g.succ[u] {
-			l.addEdge(u, v)
-		}
-	}
-
-	for i := 0; i < len(ordered); i++ { // lines 70-79
-		for j := i + 1; j < len(ordered); j++ {
-			oi, oj := ordered[i], ordered[j]
-			if Dominates(o.t, oi.invocation, oi.pid, oj.invocation, oj.pid) {
-				// oi dominates oj: edge from dominated oj to dominating oi.
-				if !l.edges[[2]*node{oj, oi}] && !l.reaches(oi, oj) {
-					l.addEdge(oj, oi)
-				}
-			} else if Dominates(o.t, oj.invocation, oj.pid, oi.invocation, oi.pid) {
-				if !l.edges[[2]*node{oi, oj}] && !l.reaches(oj, oi) {
-					l.addEdge(oi, oj)
-				}
-			}
-		}
-	}
-	return l.topoSort() // line 83
 }

@@ -333,14 +333,18 @@ func TestPrecgraphStructure(t *testing.T) {
 	if len(g.nodes) != 3 {
 		t.Fatalf("graph has %d nodes, want 3", len(g.nodes))
 	}
-	// Sequential execution: op1 -> op2 -> op3 must all be connected.
+	// Sequential execution: op1 -> op2 -> op3 must all be connected, and
+	// nothing may reach back.
 	order := g.topoSort()
 	if len(order) != 3 {
 		t.Fatalf("topoSort returned %d nodes", len(order))
 	}
-	for i := 0; i < len(order)-1; i++ {
-		if !g.reaches(order[i], order[i+1]) {
-			t.Errorf("no path between sequential ops %d and %d", i, i+1)
+	c := newClosure(g, order)
+	for i := range order {
+		for j := range order {
+			if got, want := c.has(order[i], order[j]), i < j; got != want {
+				t.Errorf("path from sequential op %d to op %d = %v, want %v", i, j, got, want)
+			}
 		}
 	}
 }
@@ -359,6 +363,15 @@ func fullGraph(view []*node) *graph {
 func TestValidateSimpleRejectsNonSimple(t *testing.T) {
 	if err := ValidateSimple(stickyBitType{}, []string{"write0()", "write1()"}, []int{0, 1}); err == nil {
 		t.Error("sticky bit accepted as simple")
+	}
+}
+
+func TestValidateSimpleEmptyPids(t *testing.T) {
+	if err := ValidateSimple(CounterType{}, []string{"inc()", "read()"}, []int{}); err == nil {
+		t.Error("invocation samples with no pids accepted")
+	}
+	if err := ValidateSimple(CounterType{}, nil, nil); err != nil {
+		t.Errorf("no samples: %v", err)
 	}
 }
 

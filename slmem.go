@@ -186,7 +186,10 @@ type Spec = spec.Spec
 // SimpleType describes a simple type (paper Definition 33): a sequential
 // specification plus the commute/overwrite calculus over invocations. Every
 // simple type gets a lock-free strongly linearizable implementation through
-// NewObject (paper Theorem 3).
+// NewObject (paper Theorem 3). Commutes and Overwrites must be
+// deterministic, pure functions of their arguments: every process derives
+// the same linearization from the same view, and dominance answers are
+// memoized per distinct (invocation, pid) pair.
 type SimpleType = universal.Type
 
 // Provided simple types for NewObject.
@@ -267,6 +270,8 @@ func (o *Object) EndBatch(pid int) { o.inner.EndBatch(pid) }
 
 // ValidateSimple checks that the type's invocations pairwise commute or
 // overwrite (Definition 33) over the given invocation and pid samples.
+// Invocation i runs as pids[i%len(pids)]; an empty pid list with any
+// invocations is an error.
 func ValidateSimple(t SimpleType, invocations []string, pids []int) error {
 	return universal.ValidateSimple(t, invocations, pids)
 }

@@ -231,6 +231,9 @@ func TestValidateSimpleExported(t *testing.T) {
 	if err := ValidateSimple(CounterType{}, []string{"inc()", "read()"}, []int{0, 1}); err != nil {
 		t.Error(err)
 	}
+	if err := ValidateSimple(CounterType{}, []string{"inc()", "read()"}, nil); err == nil {
+		t.Error("ValidateSimple accepted invocation samples with no pids")
+	}
 }
 
 func ExampleSnapshot() {
