@@ -27,6 +27,7 @@ package aba
 
 import (
 	"fmt"
+	"math/bits"
 
 	"slmem/internal/memory"
 )
@@ -42,13 +43,22 @@ type cell[V any] struct {
 	seq int
 }
 
-// tag is the (process id, sequence number) pair announced in A.
-type tag struct {
-	pid int
-	seq int
-}
+// tag is the (process id, sequence number) pair announced in A, packed into
+// one machine word as (pid+1)<<32 | (seq+1), so ⊥ (−1, −1) is 0. A[i] holds
+// one such word: the pair was always a single value of a single atomic
+// register in the paper's model, and packing it changes only how that value
+// is represented, not which steps read or write it. String prints the pair
+// as the unpacked struct {pid seq} would, so transcripts name it the same.
+type tag uint64
 
-func (c cell[V]) tag() tag { return tag{pid: c.pid, seq: c.seq} }
+func packTag(pid, seq int) tag { return tag(uint64(pid+1)<<32 | uint64(seq+1)) }
+
+func (t tag) pid() int { return int(t>>32) - 1 }
+func (t tag) seq() int { return int(t&0xffffffff) - 1 }
+
+func (t tag) String() string { return fmt.Sprintf("{%d %d}", t.pid(), t.seq()) }
+
+func (c cell[V]) tag() tag { return packTag(c.pid, c.seq) }
 
 // seqQueue is the paper's usedQ: the writer's n+1 most recently used
 // sequence numbers, as a fixed-size ring. enqueue-then-dequeue of the paper
@@ -71,20 +81,26 @@ func (q *seqQueue) pushPop(s int) {
 	q.head = (q.head + 1) % len(q.buf)
 }
 
-func (q *seqQueue) contains(s int) bool {
-	for _, v := range q.buf {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// writerLocal is the per-process local state of the DWrite/GetSeq machinery.
+// writerLocal is the per-process local state of the DWrite/GetSeq machinery,
+// allocated on the process's first DWrite: processes that only read never
+// pay for it.
 type writerLocal struct {
 	usedQ *seqQueue
-	na    []int // na[i] = sequence number announced at A[i], noSeq if none
-	c     int   // round-robin cursor over A
+	na    []int    // na[i] = sequence number announced at A[i], noSeq if none
+	mask  []uint64 // GetSeq scratch: one bit per number in {0,...,2n+1}
+	c     int      // round-robin cursor over A
+}
+
+func newWriterLocal(n int) writerLocal {
+	na := make([]int, n)
+	for i := range na {
+		na[i] = noSeq
+	}
+	return writerLocal{
+		usedQ: newSeqQueue(n + 1),
+		na:    na,
+		mask:  make([]uint64, (2*n+2+63)/64),
+	}
 }
 
 // base holds the shared registers and per-process locals common to both
@@ -93,7 +109,7 @@ type base[V any] struct {
 	n  int
 	eq func(a, b V) bool
 	x  memory.Reg[cell[V]]
-	a  []memory.Reg[tag]
+	a  []memory.Word[tag]
 	w  []writerLocal
 }
 
@@ -101,26 +117,13 @@ func newBase[V any](alloc memory.Allocator, n int, initial V, eq func(a, b V) bo
 	if n < 1 {
 		panic(fmt.Sprintf("aba: n = %d, need at least 1 process", n))
 	}
-	b := &base[V]{
+	return &base[V]{
 		n:  n,
 		eq: eq,
 		x:  memory.NewReg(alloc, "aba.X", cell[V]{val: initial, pid: noSeq, seq: noSeq}),
-		a:  make([]memory.Reg[tag], n),
+		a:  memory.NewWords(alloc, "aba.A", n, packTag(noSeq, noSeq)),
 		w:  make([]writerLocal, n),
 	}
-	for i := range b.a {
-		b.a[i] = memory.NewReg(alloc, fmt.Sprintf("aba.A[%d]", i), tag{pid: noSeq, seq: noSeq})
-	}
-	for i := range b.w {
-		b.w[i] = writerLocal{
-			usedQ: newSeqQueue(n + 1),
-			na:    make([]int, n),
-		}
-		for j := range b.w[i].na {
-			b.w[i].na[j] = noSeq
-		}
-	}
-	return b
 }
 
 // getSeq implements the paper's GetSeq (Algorithm 1, lines 3-14): read one
@@ -129,40 +132,51 @@ func newBase[V any](alloc memory.Allocator, n int, initial V, eq func(a, b V) bo
 // the writer's n+1 most recently used. One shared-memory step.
 func (b *base[V]) getSeq(p int) int {
 	l := &b.w[p]
+	if l.usedQ == nil {
+		*l = newWriterLocal(b.n)
+	}
 	ann := b.a[l.c].Read(p) // line 3
-	if ann.pid == p {       // lines 4-9
-		l.na[l.c] = ann.seq
+	if ann.pid() == p {     // lines 4-9
+		l.na[l.c] = ann.seq()
 	} else {
 		l.na[l.c] = noSeq
 	}
 	l.c = (l.c + 1) % b.n // line 10
 
-	// Line 11: choose the smallest available sequence number. The domain has
-	// 2n+2 values; at most n are announced and n+1 recently used, so one is
-	// always free.
-	s := noSeq
-	for cand := 0; cand <= 2*b.n+1; cand++ {
-		if l.usedQ.contains(cand) {
-			continue
+	s := freeSeq(l.usedQ.buf, l.na, l.mask, b.n) // line 11
+	l.usedQ.pushPop(s)                           // lines 12-13
+	return s
+}
+
+// freeSeq is GetSeq's line 11: the smallest number in {0,...,2n+1} that is
+// in neither used nor na. It marks both lists in mask (one bit per number,
+// cleared first) and returns the lowest clear bit: O(n) instead of the
+// O(n²) scan of each candidate against each list. The domain has 2n+2
+// values; at most n are announced and n+1 recently used, so one is always
+// free.
+func freeSeq(used, na []int, mask []uint64, n int) int {
+	clear(mask)
+	top := 2*n + 1
+	for _, v := range used {
+		if v >= 0 && v <= top {
+			mask[v>>6] |= 1 << (v & 63)
 		}
-		announced := false
-		for _, v := range l.na {
-			if v == cand {
-				announced = true
-				break
+	}
+	for _, v := range na {
+		if v >= 0 && v <= top {
+			mask[v>>6] |= 1 << (v & 63)
+		}
+	}
+	for i, m := range mask {
+		if m != ^uint64(0) {
+			if s := i<<6 + bits.TrailingZeros64(^m); s <= top {
+				return s
 			}
-		}
-		if !announced {
-			s = cand
 			break
 		}
 	}
-	if s == noSeq {
-		// Unreachable by the counting argument above.
-		panic("aba: no available sequence number")
-	}
-	l.usedQ.pushPop(s) // lines 12-13
-	return s
+	// Unreachable by the counting argument above.
+	panic("aba: no available sequence number")
 }
 
 // dWrite implements DWrite (Algorithm 1, lines 1-2): two shared steps.

@@ -155,11 +155,11 @@ func TestSeqAvoidsAnnouncement(t *testing.T) {
 		seen[reg.x.Read(1).seq] = true
 	}
 	announced := reg.a[0].Read(0)
-	if announced.pid != 1 {
-		t.Fatalf("announcement = %+v, want writer 1", announced)
+	if announced.pid() != 1 {
+		t.Fatalf("announcement = %v, want writer 1", announced)
 	}
-	if seen[announced.seq] {
-		t.Errorf("writer reused announced sequence number %d", announced.seq)
+	if seen[announced.seq()] {
+		t.Errorf("writer reused announced sequence number %d", announced.seq())
 	}
 }
 

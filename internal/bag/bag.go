@@ -174,7 +174,14 @@ type ownerLog struct {
 // one pub.Update covering every cell they appended. Owner-only.
 func (l *ownerLog) appendCell(x string) {
 	i := l.count % chunkSize
-	if l.count > 0 && i == 0 {
+	switch {
+	case l.tail == nil:
+		// First insert: the log's first chunk. Walkers stop at the nil
+		// head, so an empty log needs no chunk.
+		first := &chunk{}
+		l.head.Store(first)
+		l.tail = first
+	case i == 0:
 		next := &chunk{base: l.count}
 		l.tail.next.Store(next)
 		l.tail = next
@@ -201,17 +208,12 @@ type Bag struct {
 
 // New constructs a bag for n processes, initially empty.
 func New(n int) *Bag {
-	b := &Bag{
+	// Each log's first chunk is allocated on its owner's first Insert.
+	return &Bag{
 		n:    n,
 		pub:  slmem.NewSnapshot[int](n, 0),
 		logs: make([]ownerLog, n),
 	}
-	for p := range b.logs {
-		c := &chunk{}
-		b.logs[p].head.Store(c)
-		b.logs[p].tail = c
-	}
-	return b
 }
 
 // N returns the number of processes the bag was constructed for.

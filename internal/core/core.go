@@ -138,6 +138,16 @@ func (o *Snapshot[V]) Update(p int, x V) {
 // lines 46-54). Lock-free: the loop repeats only when a concurrent Update
 // or helping write landed.
 func (o *Snapshot[V]) Scan(p int) []V {
+	s2 := o.sharedScan(p)
+	out := make([]V, len(s2))
+	copy(out, s2) // copy at the boundary; R's stored view is shared
+	return out
+}
+
+// sharedScan is SLscan returning the agreed view as R stores it: the same
+// slice other processes may read, so callers must not modify it or let it
+// escape. The derived types fold over it without Scan's copy.
+func (o *Snapshot[V]) sharedScan(p int) []V {
 	var iters int64
 	for { // line 46
 		iters++
@@ -159,9 +169,7 @@ func (o *Snapshot[V]) Scan(p int) []V {
 			continue
 		}
 		o.stats.observeIters(iters)
-		out := make([]V, len(s2))
-		copy(out, s2) // copy at the boundary; R's stored view is shared
-		return out    // line 54
+		return s2 // line 54
 	}
 }
 

@@ -33,7 +33,7 @@ func (c *Counter) Inc(p int) {
 // Read returns the current count as process p.
 func (c *Counter) Read(p int) uint64 {
 	var sum uint64
-	for _, v := range c.snap.Scan(p) {
+	for _, v := range c.snap.sharedScan(p) {
 		sum += v
 	}
 	return sum
@@ -73,7 +73,7 @@ func (m *MaxRegister) MaxWrite(p int, v uint64) {
 // MaxRead returns the largest value ever written, as process p.
 func (m *MaxRegister) MaxRead(p int) uint64 {
 	var max uint64
-	for _, v := range m.snap.Scan(p) {
+	for _, v := range m.snap.sharedScan(p) {
 		if v > max {
 			max = v
 		}

@@ -5,8 +5,9 @@
 // Allocator, and run in two modes:
 //
 //   - native: registers are sync/atomic pointers (a hardware atomic load or
-//     store of a pointer is an atomic register), used by examples, soak
-//     tests, and benchmarks;
+//     store of a pointer is an atomic register), or, for values that fit a
+//     machine word (Word), one atomic uint64; used by examples, soak tests,
+//     and benchmarks;
 //   - simulated: registers are owned by the deterministic scheduler in
 //     internal/sched, where each access is one scheduled step.
 //
@@ -17,6 +18,7 @@ package memory
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -175,11 +177,11 @@ func (a *CountingAllocator) Registers() int { return a.Inner.Registers() }
 // values are stored as typed pointers, so a write costs one heap cell (the V
 // copy) instead of the two (interface box plus pointer cell) the untyped
 // nativeRegister pays. Padded to a cache line like nativeRegister, so
-// per-process register arrays do not false-share.
+// per-process register arrays do not false-share. It carries no name: only
+// transcripts and the Register interface read one.
 type typedNative[V any] struct {
-	name string
-	v    atomic.Pointer[V]
-	_    [cacheLine - 24]byte // name (16) + v (8) = 24
+	v atomic.Pointer[V]
+	_ [cacheLine - 8]byte
 }
 
 func (r *typedNative[V]) read() V { return *r.v.Load() }
@@ -191,7 +193,7 @@ func (r *typedNative[V]) write(v V) {
 }
 
 // Reg is a typed view over a register. The zero value is unusable; construct
-// with NewReg.
+// with NewReg or NewRegs.
 //
 // When the allocator is a plain *NativeAllocator, the register is backed by
 // a typed atomic pointer directly (no interface boxing per access); any other
@@ -206,11 +208,37 @@ type Reg[V any] struct {
 func NewReg[V any](a Allocator, name string, init V) Reg[V] {
 	if na, ok := a.(*NativeAllocator); ok {
 		na.count.Add(1)
-		fast := &typedNative[V]{name: name}
+		fast := &typedNative[V]{}
 		fast.v.Store(&init)
 		return Reg[V]{fast: fast}
 	}
 	return Reg[V]{r: a.NewRegister(name, init)}
+}
+
+// NewRegs allocates n registers holding values of type V, each initialized
+// to init and named prefix[0] … prefix[n-1]. Names are formatted only for
+// allocators that keep them; a bare NativeAllocator carves the n registers
+// from one array, all sharing one immutable initial value.
+func NewRegs[V any](a Allocator, prefix string, n int, init V) []Reg[V] {
+	regs := make([]Reg[V], n)
+	if na, ok := a.(*NativeAllocator); ok {
+		na.count.Add(int64(n))
+		cells := make([]typedNative[V], n)
+		for i := range regs {
+			cells[i].v.Store(&init)
+			regs[i] = Reg[V]{fast: &cells[i]}
+		}
+		return regs
+	}
+	for i := range regs {
+		regs[i] = Reg[V]{r: a.NewRegister(indexedName(prefix, i), init)}
+	}
+	return regs
+}
+
+// indexedName is prefix[i], the name NewRegs and NewWords give register i.
+func indexedName(prefix string, i int) string {
+	return prefix + "[" + strconv.Itoa(i) + "]"
 }
 
 // Read returns the current value as a step of process pid.
@@ -236,10 +264,59 @@ func (t Reg[V]) Write(pid int, v V) {
 	t.r.Write(pid, v)
 }
 
-// Name returns the underlying register name.
-func (t Reg[V]) Name() string {
-	if t.fast != nil {
-		return t.fast.name
+// --- Word registers ----------------------------------------------------------
+
+// nativeWord is Word's fast path: one atomic machine word, padded to a cache
+// line so per-process arrays do not false-share.
+type nativeWord struct {
+	v atomic.Uint64
+	_ [cacheLine - 8]byte
+}
+
+// Word is a register whose values fit one machine word: V is uint64 or a
+// type defined on it (which may carry a String method, so transcripts print
+// the value as the algorithm means it). A native Word reads and writes one
+// atomic uint64 and allocates nothing per step; under any other allocator it
+// is a Reg, so simulated schedules and step counts are the same as for a
+// Reg. The zero value is unusable; construct with NewWords.
+type Word[V ~uint64] struct {
+	fast *nativeWord // non-nil iff allocated from a bare NativeAllocator
+	slow Reg[V]
+}
+
+// NewWords allocates n word registers, each initialized to init and named
+// prefix[0] … prefix[n-1] (names are formatted only for allocators that
+// keep them, as for NewRegs).
+func NewWords[V ~uint64](a Allocator, prefix string, n int, init V) []Word[V] {
+	words := make([]Word[V], n)
+	if na, ok := a.(*NativeAllocator); ok {
+		na.count.Add(int64(n))
+		cells := make([]nativeWord, n)
+		for i := range words {
+			cells[i].v.Store(uint64(init))
+			words[i] = Word[V]{fast: &cells[i]}
+		}
+		return words
 	}
-	return t.r.Name()
+	for i, r := range NewRegs(a, prefix, n, init) {
+		words[i] = Word[V]{slow: r}
+	}
+	return words
+}
+
+// Read returns the current value as a step of process pid.
+func (w Word[V]) Read(pid int) V {
+	if w.fast != nil {
+		return V(w.fast.v.Load())
+	}
+	return w.slow.Read(pid)
+}
+
+// Write stores v as a step of process pid.
+func (w Word[V]) Write(pid int, v V) {
+	if w.fast != nil {
+		w.fast.v.Store(uint64(v))
+		return
+	}
+	w.slow.Write(pid, v)
 }

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -95,8 +96,11 @@ func TestTypedReg(t *testing.T) {
 	if got := r.Read(0); got != (pair{3, 4}) {
 		t.Errorf("Read after Write = %v", got)
 	}
-	if r.Name() != "A" {
-		t.Errorf("Name = %q", r.Name())
+	// Native registers keep no name; allocators that do (counting, sched)
+	// name the Register they hand out.
+	counted := NewReg(&CountingAllocator{Inner: &a, Counter: NewStepCounter(1)}, "A", pair{})
+	if got := counted.r.Name(); got != "A" {
+		t.Errorf("counting Name = %q, want A", got)
 	}
 }
 
@@ -144,5 +148,87 @@ func TestCountingAllocatorNesting(t *testing.T) {
 	}
 	if a2.Registers() != 1 {
 		t.Errorf("Registers = %d", a2.Registers())
+	}
+}
+
+// TestNewRegs checks both NewRegs paths: native registers are independent
+// and counted, and any other allocator sees every register under its
+// indexed name.
+func TestNewRegs(t *testing.T) {
+	var a NativeAllocator
+	regs := NewRegs(&a, "R", 3, "init")
+	if got := a.Registers(); got != 3 {
+		t.Errorf("native Registers = %d, want 3", got)
+	}
+	regs[1].Write(0, "x")
+	if regs[0].Read(0) != "init" || regs[1].Read(0) != "x" || regs[2].Read(0) != "init" {
+		t.Errorf("native regs = %q %q %q, want init x init",
+			regs[0].Read(0), regs[1].Read(0), regs[2].Read(0))
+	}
+
+	c := NewStepCounter(1)
+	counted := NewRegs(&CountingAllocator{Inner: &a, Counter: c}, "snap.R", 2, 7)
+	for i, r := range counted {
+		if want := fmt.Sprintf("snap.R[%d]", i); r.r.Name() != want {
+			t.Errorf("Name = %q, want %q", r.r.Name(), want)
+		}
+	}
+	counted[0].Write(0, 8)
+	if counted[0].Read(0) != 8 || counted[1].Read(0) != 7 {
+		t.Error("counting regs do not hold their own values")
+	}
+	if c.Steps(0) != 3 {
+		t.Errorf("counted steps = %d, want 3", c.Steps(0))
+	}
+}
+
+// pair is a word type with a String method, like the ABA announcements.
+type pair uint64
+
+func (p pair) String() string { return fmt.Sprintf("<%d>", uint64(p)) }
+
+// TestNewWords checks Word on both paths: native words read back what was
+// written, and under a counting allocator each access is one step on a
+// register named prefix[i] whose value keeps its defined type (so
+// transcripts print it through String).
+func TestNewWords(t *testing.T) {
+	var a NativeAllocator
+	words := NewWords(&a, "A", 2, pair(5))
+	if got := a.Registers(); got != 2 {
+		t.Errorf("native Registers = %d, want 2", got)
+	}
+	words[0].Write(0, 1<<40|3)
+	if words[0].Read(1) != 1<<40|3 || words[1].Read(1) != 5 {
+		t.Errorf("native words = %d %d", words[0].Read(1), words[1].Read(1))
+	}
+
+	c := NewStepCounter(2)
+	ca := &CountingAllocator{Inner: &a, Counter: c}
+	counted := NewWords(ca, "aba.A", 2, pair(0))
+	counted[1].Write(1, 9)
+	if got := counted[1].Read(0); got != 9 {
+		t.Errorf("counted word = %d, want 9", got)
+	}
+	if c.Writes(1) != 1 || c.Reads(0) != 1 {
+		t.Errorf("steps: writes(1)=%d reads(0)=%d, want 1 and 1", c.Writes(1), c.Reads(0))
+	}
+	if got := counted[1].slow.r.Name(); got != "aba.A[1]" {
+		t.Errorf("Name = %q, want aba.A[1]", got)
+	}
+	if got := fmt.Sprintf("%v", counted[1].slow.r.Read(0)); got != "<9>" {
+		t.Errorf("stored value prints %q, want <9>", got)
+	}
+}
+
+// TestNativeStepsAllocationFree pins the point of Word: a native word
+// register's read and write allocate nothing.
+func TestNativeStepsAllocationFree(t *testing.T) {
+	var a NativeAllocator
+	w := NewWords(&a, "A", 1, pair(0))[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Write(0, w.Read(0)+1)
+	})
+	if allocs != 0 {
+		t.Errorf("native word step = %.1f allocs, want 0", allocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"sync"
 	"time"
 
 	"slmem/internal/kind"
@@ -60,17 +61,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.countEndpoint("batch")
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
-	if err != nil {
+	buf := getBatchBody(r.ContentLength)
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxBatchBytes+1)); err != nil {
+		putBatchBody(buf)
 		s.replyBatch(w, http.StatusBadRequest, BatchResponse{Error: "read request body: " + err.Error()})
 		return
 	}
-	if len(body) > maxBatchBytes {
+	if buf.Len() > maxBatchBytes {
+		putBatchBody(buf)
 		s.replyBatch(w, http.StatusRequestEntityTooLarge,
 			BatchResponse{Error: fmt.Sprintf("batch body exceeds %d bytes", maxBatchBytes)})
 		return
 	}
-	entries, err := decodeBatchEntries(body, s.maxBatchOps)
+	entries, err := decodeBatchEntries(buf.Bytes(), s.maxBatchOps)
+	// Both decoders copy every string they keep, so the body is free now.
+	putBatchBody(buf)
 	if errors.Is(err, errBatchTooMany) {
 		s.replyBatch(w, http.StatusRequestEntityTooLarge,
 			BatchResponse{Error: fmt.Sprintf("batch exceeds %d entries", s.maxBatchOps)})
@@ -136,6 +141,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ElapsedUS: time.Since(start).Microseconds(),
 		},
 	})
+}
+
+// batchBodies recycles batch request-body buffers across requests.
+// Buffers grown past maxPooledBody are dropped instead, so one large batch
+// does not pin its buffer.
+var batchBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const (
+	maxPooledBody = 1 << 20
+	// maxBodyPresize bounds how much of a declared Content-Length is
+	// reserved before any body bytes arrive; past it the buffer grows only
+	// as data does, so a client that declares a large body and never sends
+	// it pins no more than this.
+	maxBodyPresize = 64 << 10
+)
+
+// getBatchBody returns an empty pooled body buffer with room for
+// contentLength bytes (at most maxBodyPresize) plus the bytes.MinRead that
+// ReadFrom keeps free before each Read, so the final Read that sees EOF
+// does not grow it.
+func getBatchBody(contentLength int64) *bytes.Buffer {
+	buf := batchBodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.Grow(int(min(max(contentLength, 0), maxBodyPresize)) + bytes.MinRead)
+	return buf
+}
+
+func putBatchBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		batchBodies.Put(buf)
+	}
 }
 
 // errBatchTooMany marks a batch rejected for exceeding the entry cap; both

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"strconv"
 
 	"slmem/internal/memory"
 )
@@ -50,25 +51,21 @@ func NewHandshake[V any](alloc memory.Allocator, n int, initial V) *Handshake[V]
 	if n < 1 {
 		panic(fmt.Sprintf("snapshot: n = %d, need at least 1 process", n))
 	}
-	s := &Handshake[V]{
-		n:      n,
-		regs:   make([]memory.Reg[hcell[V]], n),
-		q:      make([][]memory.Reg[bool], n),
-		p:      make([][]memory.Reg[bool], n),
-		toggle: make([]bool, n),
-	}
 	initView := make([]V, n)
 	for i := range initView {
 		initView[i] = initial
 	}
+	s := &Handshake[V]{
+		n:      n,
+		regs:   memory.NewRegs(alloc, "snap.H", n, hcell[V]{val: initial, view: initView}),
+		q:      make([][]memory.Reg[bool], n),
+		p:      make([][]memory.Reg[bool], n),
+		toggle: make([]bool, n),
+	}
 	for j := range s.regs {
-		s.regs[j] = memory.NewReg(alloc, fmt.Sprintf("snap.H[%d]", j), hcell[V]{val: initial, view: initView})
-		s.q[j] = make([]memory.Reg[bool], n)
-		s.p[j] = make([]memory.Reg[bool], n)
-		for i := 0; i < n; i++ {
-			s.q[j][i] = memory.NewReg(alloc, fmt.Sprintf("snap.q[%d][%d]", j, i), false)
-			s.p[j][i] = memory.NewReg(alloc, fmt.Sprintf("snap.p[%d][%d]", j, i), false)
-		}
+		row := "[" + strconv.Itoa(j) + "]"
+		s.q[j] = memory.NewRegs(alloc, "snap.q"+row, n, false)
+		s.p[j] = memory.NewRegs(alloc, "snap.p"+row, n, false)
 	}
 	return s
 }

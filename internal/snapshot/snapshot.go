@@ -49,9 +49,12 @@ type dcell[V any] struct {
 type DoubleCollect[V any] struct {
 	n    int
 	regs []memory.Reg[dcell[V]]
-	seq  []uint64  // local per-writer sequence numbers
-	bufs sync.Pool // *[]dcell[V] collect scratch, recycled across Scans
+	seq  []uint64 // local per-writer sequence numbers
 }
+
+// stackCollect is the most components a DoubleCollect scan collects into
+// arrays on its own stack; wider snapshots make two heap buffers per Scan.
+const stackCollect = 32
 
 var _ Snapshot[int] = (*DoubleCollect[int])(nil)
 
@@ -61,15 +64,11 @@ func NewDoubleCollect[V any](alloc memory.Allocator, n int, initial V) *DoubleCo
 	if n < 1 {
 		panic(fmt.Sprintf("snapshot: n = %d, need at least 1 process", n))
 	}
-	s := &DoubleCollect[V]{
+	return &DoubleCollect[V]{
 		n:    n,
-		regs: make([]memory.Reg[dcell[V]], n),
+		regs: memory.NewRegs(alloc, "snap.R", n, dcell[V]{val: initial}),
 		seq:  make([]uint64, n),
 	}
-	for i := range s.regs {
-		s.regs[i] = memory.NewReg(alloc, fmt.Sprintf("snap.R[%d]", i), dcell[V]{val: initial})
-	}
-	return s
 }
 
 // Update implements Snapshot: one shared write.
@@ -77,19 +76,6 @@ func (s *DoubleCollect[V]) Update(pid int, x V) {
 	s.seq[pid]++
 	s.regs[pid].Write(pid, dcell[V]{val: x, seq: s.seq[pid]})
 }
-
-// getBuf returns a collect scratch buffer from the pool. Scratch buffers
-// never escape a Scan: values() copies the result out before putBuf, so
-// recycling them cuts the two collect allocations off every Scan.
-func (s *DoubleCollect[V]) getBuf() *[]dcell[V] {
-	if p, ok := s.bufs.Get().(*[]dcell[V]); ok {
-		return p
-	}
-	buf := make([]dcell[V], s.n)
-	return &buf
-}
-
-func (s *DoubleCollect[V]) putBuf(p *[]dcell[V]) { s.bufs.Put(p) }
 
 func (s *DoubleCollect[V]) collectInto(pid int, out []dcell[V]) {
 	for i := range s.regs {
@@ -120,27 +106,25 @@ func values[V any](cells []dcell[V]) []V {
 // (a "clean double collect"). Lock-free: a failed pair of collects means a
 // concurrent Update completed.
 func (s *DoubleCollect[V]) Scan(pid int) []V {
-	b1, b2 := s.getBuf(), s.getBuf()
-	c1, c2 := *b1, *b2
-	s.collectInto(pid, c1)
-	for {
-		s.collectInto(pid, c2)
-		if seqsEqual(c1, c2) {
-			out := values(c2)
-			s.putBuf(b1)
-			s.putBuf(b2)
-			return out
-		}
-		c1, c2 = c2, c1
-	}
+	view, _ := s.ScanVersioned(pid)
+	return view
 }
 
 // ScanVersioned is Scan returning also the view's version: the sum of all
 // component sequence numbers, which increases with every Update (the
 // versioned-object interface of paper Section 4.1).
+//
+// Both collects go into arrays on this frame's stack when the snapshot has
+// at most stackCollect components, and into two fresh buffers otherwise;
+// only the returned view escapes.
 func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64) {
-	b1, b2 := s.getBuf(), s.getBuf()
-	c1, c2 := *b1, *b2
+	var a1, a2 [stackCollect]dcell[V]
+	c1, c2 := a1[:], a2[:]
+	if s.n <= stackCollect {
+		c1, c2 = c1[:s.n], c2[:s.n]
+	} else {
+		c1, c2 = make([]dcell[V], s.n), make([]dcell[V], s.n)
+	}
 	s.collectInto(pid, c1)
 	for {
 		s.collectInto(pid, c2)
@@ -149,10 +133,7 @@ func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64) {
 			for _, c := range c2 {
 				version += c.seq
 			}
-			out := values(c2)
-			s.putBuf(b1)
-			s.putBuf(b2)
-			return out, version
+			return values(c2), version
 		}
 		c1, c2 = c2, c1
 	}
@@ -189,15 +170,11 @@ func NewAfek[V any](alloc memory.Allocator, n int, initial V) *Afek[V] {
 	if n < 1 {
 		panic(fmt.Sprintf("snapshot: n = %d, need at least 1 process", n))
 	}
-	s := &Afek[V]{
+	return &Afek[V]{
 		n:    n,
-		regs: make([]memory.Reg[acell[V]], n),
+		regs: memory.NewRegs(alloc, "snap.A", n, acell[V]{val: initial}),
 		seq:  make([]uint64, n),
 	}
-	for i := range s.regs {
-		s.regs[i] = memory.NewReg(alloc, fmt.Sprintf("snap.A[%d]", i), acell[V]{val: initial})
-	}
-	return s
 }
 
 // Update implements Snapshot: an embedded Scan followed by one write that

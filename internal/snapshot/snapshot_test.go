@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -250,4 +252,83 @@ func lastWriterReturnIndex(tr *trace.Transcript) int {
 		}
 	}
 	return last
+}
+
+// TestDoubleCollectWideMatchesNarrow runs one seeded script of updates and
+// scans on DoubleCollects of n = 32 (the widest that collects on the
+// stack) and n = 33 (two heap buffers per scan): the first 32 components,
+// the untouched 33rd, and the versions must agree after every step.
+func TestDoubleCollectWideMatchesNarrow(t *testing.T) {
+	var alloc memory.NativeAllocator
+	narrow := NewDoubleCollect[string](&alloc, stackCollect, spec.Bot)
+	wide := NewDoubleCollect[string](&alloc, stackCollect+1, spec.Bot)
+	rng := rand.New(rand.NewSource(33))
+	updates := uint64(0)
+	for i := 0; i < 2000; i++ {
+		pid := rng.Intn(stackCollect)
+		if rng.Intn(3) > 0 {
+			x := fmt.Sprintf("v%d", i)
+			narrow.Update(pid, x)
+			wide.Update(pid, x)
+			updates++
+			continue
+		}
+		nv, nver := narrow.ScanVersioned(pid)
+		wv, wver := wide.ScanVersioned(pid)
+		if nver != updates || wver != updates {
+			t.Fatalf("step %d: versions narrow=%d wide=%d, want %d", i, nver, wver, updates)
+		}
+		if len(wv) != stackCollect+1 || wv[stackCollect] != spec.Bot {
+			t.Fatalf("step %d: wide view %v, want %d components ending in ⊥", i, wv, stackCollect+1)
+		}
+		for j := range nv {
+			if nv[j] != wv[j] {
+				t.Fatalf("step %d: component %d narrow=%q wide=%q", i, j, nv[j], wv[j])
+			}
+		}
+		if got := wide.Scan(pid); spec.FormatView(got) != spec.FormatView(wv) {
+			t.Fatalf("step %d: Scan %v != ScanVersioned %v", i, got, wv)
+		}
+	}
+}
+
+// TestDoubleCollectWideConcurrent hammers the heap-buffer path (n = 33)
+// with concurrent writers: every scan must see each component's counter
+// no lower than an earlier scan by the same process saw it.
+func TestDoubleCollectWideConcurrent(t *testing.T) {
+	const n = stackCollect + 1
+	var alloc memory.NativeAllocator
+	s := NewDoubleCollect[int](&alloc, n, 0)
+	const writers, iters = 3, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			for i := 1; i <= iters; i++ {
+				s.Update(pid, i)
+			}
+		}(w)
+	}
+	last := make([]int, n)
+	var lastVersion uint64
+	for i := 0; i < 500; i++ {
+		view, version := s.ScanVersioned(n - 1)
+		if version < lastVersion {
+			t.Fatalf("version went back from %d to %d", lastVersion, version)
+		}
+		lastVersion = version
+		var sum uint64
+		for j, v := range view {
+			if v < last[j] {
+				t.Fatalf("component %d went back from %d to %d", j, last[j], v)
+			}
+			last[j] = v
+			sum += uint64(v)
+		}
+		if sum != version {
+			t.Fatalf("view %v sums to %d, version %d", view, sum, version)
+		}
+	}
+	wg.Wait()
 }
